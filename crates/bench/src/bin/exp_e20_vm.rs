@@ -5,21 +5,16 @@
 //! beats the allocation-fixed tree walker by ≥5× on the E3-style
 //! brute-force parameter sweep — per parameter tuple, one batched VM run
 //! replaces `n` per-vertex `satisfies` calls — while staying
-//! bit-identical on every verdict. Also records the daemon's cold-solve
-//! latency under each engine (the VM engine adds a full cross-validation
-//! pass on top of the solve, so its latency bounds the validation cost).
+//! bit-identical on every verdict.
 //!
 //! Writes the measurements (via the shared `write_json_file` writer) to
 //! `BENCH_vm.json` — or a path given as the first CLI argument.
 
-use std::time::Instant;
-
 use folearn_bench::{banner, cells, red_tree, timed, verdict, write_json_file, Json, Table};
-use folearn_graph::{io, V};
+use folearn_graph::V;
 use folearn_logic::eval::{self, Assignment};
 use folearn_logic::parse;
 use folearn_logic::vm::{get_bit, Evaluator, Program, VmGraph};
-use folearn_server::{start, Client, ClientApi, ServerConfig, SolverSpec, WireExample};
 
 /// The E3 formula family: hypotheses φ(x0; x1) a brute-force sweep
 /// evaluates once per parameter vertex, over every example vertex.
@@ -31,10 +26,6 @@ const FAMILY: &[(&str, &str)] = &[
         "exists x2. E(x0, x2) & Red(x2) & exists x3. E(x2, x3) & !Red(x3)",
     ),
 ];
-
-fn us_since(t: Instant) -> u64 {
-    t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -131,46 +122,6 @@ fn main() {
     );
     println!();
 
-    // --- Cold-solve daemon latency under each engine --------------------
-    // Engine selection is part of the solve-cache key, so both solves are
-    // cold; the VM engine's latency includes its cross-validation pass
-    // over every example on top of the identical solve.
-    let handle = start(&ServerConfig::default()).expect("daemon starts");
-    let mut client = Client::connect(handle.addr()).expect("client connects");
-    let g = red_tree(48, 4, 11);
-    let structure = client.register(&io::to_text(&g)).expect("register");
-    let sample: Vec<WireExample> = (0..8)
-        .map(|i| WireExample {
-            tuple: vec![(i * 5) % g.num_vertices() as u32],
-            label: i % 2 == 0,
-        })
-        .collect();
-    let mut solve_with = |spec: SolverSpec| {
-        let t = Instant::now();
-        let res = client
-            .solve(structure, sample.clone(), 1, 1, 0.0, spec)
-            .expect("solve");
-        (res, us_since(t))
-    };
-    let (tree_solve, tree_cold_us) = solve_with(SolverSpec::default_brute());
-    let mut vm_spec = SolverSpec::default_brute();
-    if let SolverSpec::Brute { engine, .. } = &mut vm_spec {
-        *engine = folearn_logic::vm::EvalEngine::Vm;
-    }
-    let (vm_solve, vm_cold_us) = solve_with(vm_spec);
-    handle.shutdown();
-    assert!(!tree_solve.cached && !vm_solve.cached, "both solves are cold");
-    // `id` is a per-registration handle, so compare the hypothesis
-    // content: parameters, type set, and the reported error bits.
-    let outcomes_identical = tree_solve.hypothesis.params == vm_solve.hypothesis.params
-        && tree_solve.hypothesis.types == vm_solve.hypothesis.types
-        && tree_solve.error.to_bits() == vm_solve.error.to_bits();
-    println!(
-        "daemon cold solve: tree {tree_cold_us} us, vm {vm_cold_us} us \
-         (vm includes cross-validation); outcomes identical: {outcomes_identical}"
-    );
-    println!();
-
     let json = Json::obj([
         ("experiment", Json::str("E20")),
         ("sweeps", Json::Arr(rows)),
@@ -178,14 +129,6 @@ fn main() {
         ("all_bit_identical", Json::Bool(all_identical)),
         ("vm_instructions", Json::int(vm_instructions as usize)),
         ("vm_words_scanned", Json::int(vm_words as usize)),
-        (
-            "server",
-            Json::obj([
-                ("cold_solve_tree_us", Json::int(tree_cold_us as usize)),
-                ("cold_solve_vm_us", Json::int(vm_cold_us as usize)),
-                ("outcomes_identical", Json::Bool(outcomes_identical)),
-            ]),
-        ),
     ]);
     if let Err(e) = write_json_file(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
@@ -193,11 +136,11 @@ fn main() {
     }
     println!("wrote {out_path}");
 
-    let ok = all_identical && outcomes_identical && min_speedup >= 5.0;
+    let ok = all_identical && min_speedup >= 5.0;
     verdict(
         ok,
         "every batched sweep is ≥5× faster than the tree walker and every \
-         verdict — sweep and solve alike — is bit-identical",
+         verdict is bit-identical",
     );
     if !ok {
         std::process::exit(1);

@@ -31,7 +31,6 @@ use folearn_graph::{io, Graph};
 use folearn_hardness::oracle::{BruteForceOracle, RemoteOracle};
 use folearn_hardness::reduction::{model_check_via_erm, ReductionReport};
 use folearn_logic::parse;
-use folearn_logic::vm::EvalEngine;
 use folearn_obs::export::span_from_json;
 use folearn_obs::SpanRecord;
 use folearn_server::{
@@ -188,7 +187,6 @@ fn spec() -> SolverSpec {
         mode: TypeMode::Global,
         threads: None,
         prune: true,
-        engine: EvalEngine::TreeWalk,
     }
 }
 

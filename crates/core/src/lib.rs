@@ -37,7 +37,7 @@ pub mod vc;
 
 pub use bruteforce::{BruteForceOpts, BruteForceResult};
 pub use fit::{fit_with_params, fit_with_params_counted, TypeMode};
-pub use solver::{solve_fo_erm, solve_fo_erm_with_engine, SolveReport, Solver};
+pub use solver::{solve_fo_erm, SolveReport, Solver};
 pub use hypothesis::Hypothesis;
 pub use problem::{ErmInstance, Example, TrainingSequence};
 

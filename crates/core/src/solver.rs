@@ -13,8 +13,6 @@
 //! | a nowhere dense class (e.g. forest)  | `Solver::NowhereDense`    |
 //! | bounded degree + few examples        | `Solver::LocalAccess`     |
 
-use folearn_logic::vm::{self, EvalEngine};
-use folearn_logic::Var;
 use folearn_obs::Json;
 
 use crate::bruteforce::{brute_force_erm_with, BruteForceOpts};
@@ -100,100 +98,14 @@ pub fn solve_fo_erm(
     solver: &Solver,
     arena: &SharedArena,
 ) -> SolveReport {
-    solve_fo_erm_with_engine(inst, solver, arena, EvalEngine::TreeWalk)
-}
-
-/// [`solve_fo_erm`] with an explicit formula-evaluation engine.
-///
-/// The learners' parameter sweeps tally *types*, which are backend-
-/// independent, so the engine does not change what is learned. What it
-/// selects is the formula-evaluation backend used around the solve: with
-/// [`EvalEngine::Vm`] the winning hypothesis is cross-validated — its
-/// materialised formula ([`Hypothesis::to_formula`]) is compiled once and
-/// batch-evaluated on the bytecode VM over every training example, and
-/// the recomputed error must be bit-identical to the solver's. The
-/// validation runs inside the `solve` span, so its `vm_*` work counters
-/// surface in traces and the server's `stats` aggregate.
-///
-/// # Panics
-/// Panics if the VM cross-validation diverges from the solver's reported
-/// error — a committed engine-mismatch is a broken build, not a result.
-pub fn solve_fo_erm_with_engine(
-    inst: &ErmInstance<'_>,
-    solver: &Solver,
-    arena: &SharedArena,
-    engine: EvalEngine,
-) -> SolveReport {
     let sp = folearn_obs::span("solve");
     let report = solve_dispatch(inst, solver, arena);
-    if engine == EvalEngine::Vm {
-        vm_cross_validate(inst, &report);
-    }
     folearn_obs::meta("solver", Json::str(report.solver_name));
-    folearn_obs::meta("engine", Json::str(engine.name()));
     folearn_obs::meta("ell", Json::int(inst.ell));
     folearn_obs::meta("q", Json::int(inst.q));
     folearn_obs::meta("examples", Json::int(inst.examples.len()));
     drop(sp);
     report
-}
-
-/// Recompute the report's training error on the bytecode VM and assert
-/// bit-identity. `k = 1` instances use one batched run (one lane per
-/// vertex); higher arities bind each tuple through the environment.
-fn vm_cross_validate(inst: &ErmInstance<'_>, report: &SolveReport) {
-    // The materialised formula is over x0 … x{k−1} (the example tuple)
-    // followed by the hypothesis's parameter variables x{k} … x{k+ℓ−1}.
-    let phi = report.hypothesis.to_formula();
-    let params = report.hypothesis.params();
-    let vg = vm::VmGraph::new(inst.graph);
-    let k = inst.k;
-    let param_bindings = |base: usize| -> Vec<(Var, folearn_graph::V)> {
-        params
-            .iter()
-            .enumerate()
-            .map(|(j, &w)| ((base + j) as Var, w))
-            .collect()
-    };
-    let wrong = if k == 1 {
-        let assigned: Vec<Var> = (1..=params.len()).map(|j| j as Var).collect();
-        let prog = vm::Program::compile(&phi, 0, &assigned);
-        let mut ev = vm::Evaluator::new(&prog, &vg);
-        let verdicts = ev.run(&param_bindings(1)).to_vec();
-        inst.examples
-            .iter()
-            .filter(|e| vm::get_bit(&verdicts, e.tuple[0].index()) != e.label)
-            .count()
-    } else {
-        let assigned: Vec<Var> = (0..k + params.len()).map(|j| j as Var).collect();
-        let prog = vm::Program::compile_single(&phi, &assigned);
-        let mut ev = vm::Evaluator::new(&prog, &vg);
-        inst.examples
-            .iter()
-            .filter(|e| {
-                let mut bindings: Vec<(Var, folearn_graph::V)> = e
-                    .tuple
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (i as Var, v))
-                    .collect();
-                bindings.extend(param_bindings(k));
-                ev.run_bool(&bindings) != e.label
-            })
-            .count()
-    };
-    let vm_error = if inst.examples.is_empty() {
-        0.0
-    } else {
-        wrong as f64 / inst.examples.len() as f64
-    };
-    assert_eq!(
-        vm_error.to_bits(),
-        report.error.to_bits(),
-        "VM cross-validation diverged: vm error {} vs solver error {}",
-        vm_error,
-        report.error
-    );
 }
 
 fn solve_dispatch(
@@ -245,6 +157,9 @@ fn solve_dispatch(
 mod tests {
     use folearn_graph::{generators, Vocabulary, V};
 
+    use folearn_logic::vm;
+    use folearn_logic::Var;
+
     use crate::ndlearner::{FinalRule, SearchMode};
     use crate::problem::TrainingSequence;
     use crate::shared_arena;
@@ -292,11 +207,69 @@ mod tests {
         }
     }
 
+    /// Recompute the report's training error on the bytecode VM and assert
+    /// bit-identity. `k = 1` instances use one batched run (one lane per
+    /// vertex); higher arities bind each tuple through the environment.
+    fn vm_cross_validate(inst: &ErmInstance<'_>, report: &SolveReport) {
+        // The materialised formula is over x0 … x{k−1} (the example tuple)
+        // followed by the hypothesis's parameter variables x{k} … x{k+ℓ−1}.
+        let phi = report.hypothesis.to_formula();
+        let params = report.hypothesis.params();
+        let vg = vm::VmGraph::new(inst.graph);
+        let k = inst.k;
+        let param_bindings = |base: usize| -> Vec<(Var, folearn_graph::V)> {
+            params
+                .iter()
+                .enumerate()
+                .map(|(j, &w)| ((base + j) as Var, w))
+                .collect()
+        };
+        let wrong = if k == 1 {
+            let assigned: Vec<Var> = (1..=params.len()).map(|j| j as Var).collect();
+            let prog = vm::Program::compile(&phi, 0, &assigned);
+            let mut ev = vm::Evaluator::new(&prog, &vg);
+            let verdicts = ev.run(&param_bindings(1)).to_vec();
+            inst.examples
+                .iter()
+                .filter(|e| vm::get_bit(&verdicts, e.tuple[0].index()) != e.label)
+                .count()
+        } else {
+            let assigned: Vec<Var> = (0..k + params.len()).map(|j| j as Var).collect();
+            let prog = vm::Program::compile_single(&phi, &assigned);
+            let mut ev = vm::Evaluator::new(&prog, &vg);
+            inst.examples
+                .iter()
+                .filter(|e| {
+                    let mut bindings: Vec<(Var, folearn_graph::V)> = e
+                        .tuple
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| (i as Var, v))
+                        .collect();
+                    bindings.extend(param_bindings(k));
+                    ev.run_bool(&bindings) != e.label
+                })
+                .count()
+        };
+        let vm_error = if inst.examples.is_empty() {
+            0.0
+        } else {
+            wrong as f64 / inst.examples.len() as f64
+        };
+        assert_eq!(
+            vm_error.to_bits(),
+            report.error.to_bits(),
+            "VM cross-validation diverged: vm error {} vs solver error {}",
+            vm_error,
+            report.error
+        );
+    }
+
     #[test]
     fn vm_engine_cross_validates_every_solver() {
-        // The test is the internal bit-identity assertion: with the VM
-        // engine, solve_fo_erm_with_engine recomputes the winning
-        // hypothesis's error on the bytecode VM and panics on divergence.
+        // The test is the bit-identity assertion: the winning
+        // hypothesis's error, recomputed on the bytecode VM, must equal
+        // the solver's.
         let g = generators::random_tree(24, Vocabulary::empty(), 7);
         let w = V(12);
         let target = |t: &[V]| t[0] == w || g.has_edge(t[0], w);
@@ -322,9 +295,7 @@ mod tests {
             },
         ];
         for solver in &solvers {
-            let tree = solve_fo_erm_with_engine(&inst, solver, &arena, EvalEngine::TreeWalk);
-            let vm = solve_fo_erm_with_engine(&inst, solver, &arena, EvalEngine::Vm);
-            assert_eq!(tree.error.to_bits(), vm.error.to_bits(), "{}", vm.solver_name);
+            vm_cross_validate(&inst, &solve_fo_erm(&inst, solver, &arena));
         }
     }
 
@@ -337,15 +308,15 @@ mod tests {
             TrainingSequence::label_all_tuples(&g, 2, |t| g.has_edge(t[0], t[1]));
         let inst = ErmInstance::new(&g, examples, 2, 0, 1, 0.0);
         let arena = shared_arena(&g);
-        let report = solve_fo_erm_with_engine(
+        let report = solve_fo_erm(
             &inst,
             &Solver::BruteForce {
                 mode: TypeMode::Global,
                 opts: BruteForceOpts::default(),
             },
             &arena,
-            EvalEngine::Vm,
         );
+        vm_cross_validate(&inst, &report);
         assert_eq!(report.error, 0.0);
     }
 

@@ -17,8 +17,18 @@
 //! values render as `null`. 64-bit identifiers (structure hashes) do not
 //! fit `f64` losslessly and therefore travel as fixed-width hex strings
 //! (see `folearn_server::proto`).
+//!
+//! Parsing recurses once per container level, so the parser refuses
+//! documents nested deeper than [`MAX_DEPTH`]: a peer sending a line of
+//! `[` gets an error instead of overflowing the reading thread's stack.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// documents the workspace writes — reply frames carrying a router's
+/// stitched span tree, a few span levels of two containers each — stay
+/// far below it, and the bounded recursion fits any thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects preserve insertion order (the renderers emit
 /// keys in the order they were pushed), which keeps wire messages, bench
@@ -173,6 +183,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -235,6 +246,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -281,10 +294,24 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(_) => self.number(),
         }
+    }
+
+    /// Parse one container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -463,6 +490,19 @@ mod tests {
         assert!(Json::parse("{broken").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let e = Json::parse(&past_cap).unwrap_err();
+        assert!(e.0.contains("nesting deeper than"), "{e}");
+        // A 20 KB line of `[` or of `{"a":` is refused long before the
+        // stack is at risk.
+        assert!(Json::parse(&"[".repeat(20_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(20_000)).is_err());
     }
 
     #[test]

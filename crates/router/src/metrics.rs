@@ -54,6 +54,10 @@ struct Inner {
     repairs_performed: u64,
     rebinds_avoided: u64,
     rejected_connections: u64,
+    over_limit_closes: u64,
+    idle_closes: u64,
+    oversize_closes: u64,
+    truncated_frames: u64,
     structures: u64,
     hypotheses: u64,
     series: TimeSeries,
@@ -94,6 +98,10 @@ impl RouterMetrics {
                 repairs_performed: 0,
                 rebinds_avoided: 0,
                 rejected_connections: 0,
+                over_limit_closes: 0,
+                idle_closes: 0,
+                oversize_closes: 0,
+                truncated_frames: 0,
                 structures: 0,
                 hypotheses: 0,
                 series: TimeSeries::new(),
@@ -178,10 +186,29 @@ impl RouterMetrics {
         folearn_obs::count(folearn_obs::Counter::HedgesFired, 1);
     }
 
-    /// Record a connection turned away at the concurrency cap or on a
-    /// failed connection-thread spawn.
+    /// Record a connection turned away at the concurrency cap.
     pub fn record_rejected_connection(&self) {
         self.inner.lock().rejected_connections += 1;
+    }
+
+    /// Record a connection closed for exceeding its request budget.
+    pub fn record_over_limit(&self) {
+        self.inner.lock().over_limit_closes += 1;
+    }
+
+    /// Record a connection closed for idleness.
+    pub fn record_idle_close(&self) {
+        self.inner.lock().idle_closes += 1;
+    }
+
+    /// Record a connection closed for an oversized request line.
+    pub fn record_oversize_close(&self) {
+        self.inner.lock().oversize_closes += 1;
+    }
+
+    /// Record a frame cut short by EOF (rejected, not served).
+    pub fn record_truncated_frame(&self) {
+        self.inner.lock().truncated_frames += 1;
     }
 
     /// Record a request won by its hedge (not the primary).
@@ -265,6 +292,16 @@ impl RouterMetrics {
             (
                 "rejected_connections",
                 Json::Num(inner.rejected_connections as f64),
+            ),
+            (
+                "over_limit_closes",
+                Json::Num(inner.over_limit_closes as f64),
+            ),
+            ("idle_closes", Json::Num(inner.idle_closes as f64)),
+            ("oversize_closes", Json::Num(inner.oversize_closes as f64)),
+            (
+                "truncated_frames",
+                Json::Num(inner.truncated_frames as f64),
             ),
             ("structures", Json::Num(inner.structures as f64)),
             ("hypotheses", Json::Num(inner.hypotheses as f64)),

@@ -1,9 +1,13 @@
 //! The router daemon: front-door listener, placement, hedged fan-out,
 //! and failover.
 //!
-//! The front door runs the exact framing loop of the backend daemon
-//! ([`folearn_server::framing`]), so to any client the router *is* a
-//! `folearn serve`. Behind it:
+//! The front door is the backend daemon's own
+//! ([`folearn_server::event_loop`]), so to any client the router *is* a
+//! `folearn serve`. [`RouterDispatch`] answers `ping`, `shutdown` and
+//! `inventory` on the loop thread and hands every request that talks to
+//! backends to a forwarding [`WorkerPool`] of
+//! [`RouterConfig::max_connections`] threads, which bounds the forwards
+//! in flight. Behind it:
 //!
 //! * `register` is parsed locally, content-hashed, placed on the ring,
 //!   and forwarded to each of its `R` replicas; the ack lists the
@@ -43,7 +47,10 @@ use std::time::{Duration, Instant};
 
 use folearn_graph::io;
 use folearn_server::client::{ClientApi, ClientConfig, ClientError, RetryPolicy, RetryingClient};
-use folearn_server::framing::{self, ConnEvent, ConnLimits};
+use folearn_server::event_loop::{
+    self, ConnEvent, ConnLimits, Dispatch, EventHandler, FrontDoor, Responder,
+};
+use folearn_server::pool::{Job, WorkerPool};
 use folearn_server::proto::{
     fnv1a64, hex64, Json, Request, Response, TraceContext, WireBinding, WireProvenance,
 };
@@ -87,7 +94,9 @@ pub struct RouterConfig {
     pub max_line_bytes: usize,
     /// Front-door idle timeout.
     pub idle_timeout: Duration,
-    /// Concurrent front-door connections accepted.
+    /// Concurrent front-door connections accepted; also the number of
+    /// forwarding threads, so at most this many backend-bound requests
+    /// are in flight.
     pub max_connections: usize,
     /// Period of the background anti-entropy pass: the router sweeps
     /// every backend's `inventory`, re-seeds structures a replica has
@@ -167,9 +176,8 @@ struct RouterState {
     next_trace: AtomicU64,
     trace_enabled: bool,
     metrics: RouterMetrics,
-    shutdown: AtomicBool,
+    shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
-    limits: ConnLimits,
 }
 
 impl RouterState {
@@ -253,9 +261,9 @@ impl RouterState {
 pub struct RouterHandle {
     addr: SocketAddr,
     state: Arc<RouterState>,
-    acceptor: Option<JoinHandle<()>>,
+    front: FrontDoor,
+    pool: Arc<WorkerPool>,
     repair: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl RouterHandle {
@@ -277,22 +285,16 @@ impl RouterHandle {
     }
 
     fn join_all(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // The acceptor only exits once shutdown is flagged, so the
+        // The front door only exits once shutdown is flagged, so the
         // repair loop is already on its way out (≤50ms poll).
+        self.front.join();
         if let Some(repair) = self.repair.take() {
             let _ = repair.join();
         }
-        loop {
-            let handle = self.connections.lock().pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
+        // The shards' handler clones were the only other pool
+        // references; forwards still running finish before the join.
+        if let Some(pool) = Arc::get_mut(&mut self.pool) {
+            pool.shutdown();
         }
     }
 }
@@ -330,69 +332,27 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
         next_trace: AtomicU64::new(1),
         trace_enabled: config.trace,
         metrics: RouterMetrics::new_with_backends(&config.backends),
-        shutdown: AtomicBool::new(false),
+        shutdown: Arc::new(AtomicBool::new(false)),
         addr,
-        limits: ConnLimits {
+    });
+    let max_connections = config.max_connections.max(1);
+    let pool = Arc::new(WorkerPool::new(max_connections, max_connections));
+    let handler = Arc::new(RouterDispatch {
+        state: Arc::clone(&state),
+        pool: Arc::clone(&pool),
+    });
+    let front = event_loop::start(
+        "folearn-router",
+        listener,
+        handler,
+        ConnLimits {
             max_requests_per_conn: config.max_requests_per_conn.max(1),
             max_line_bytes: config.max_line_bytes.max(1),
             idle_timeout: config.idle_timeout,
         },
-    });
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let max_connections = config.max_connections.max(1);
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let connections = Arc::clone(&connections);
-        std::thread::Builder::new()
-            .name("folearn-router-acceptor".to_string())
-            .spawn(move || {
-                for incoming in listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = incoming else { continue };
-                    let admitted = {
-                        let mut conns = connections.lock();
-                        conns.retain(|h| !h.is_finished());
-                        conns.len() < max_connections
-                    };
-                    if !admitted {
-                        state.metrics.record_rejected_connection();
-                        let _ = framing::write_response(
-                            &mut stream,
-                            &Response::Bye {
-                                reason: "connection limit".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    // Keep a reply handle: if the spawn fails (thread
-                    // limit, OOM) the stream has moved into the dropped
-                    // closure, and this clone lets the router degrade
-                    // with an error reply instead of panicking.
-                    let reply = stream.try_clone().ok();
-                    let conn_state = Arc::clone(&state);
-                    let spawned = std::thread::Builder::new()
-                        .name("folearn-router-conn".to_string())
-                        .spawn(move || serve_connection(&conn_state, stream));
-                    match spawned {
-                        Ok(handle) => connections.lock().push(handle),
-                        Err(_) => {
-                            state.metrics.record_rejected_connection();
-                            if let Some(mut s) = reply {
-                                let _ = framing::write_response(
-                                    &mut s,
-                                    &Response::error(
-                                        "router overloaded: cannot spawn connection thread",
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            })?
-    };
+        max_connections,
+        Arc::clone(&state.shutdown),
+    )?;
 
     let repair = match config.repair_interval {
         Some(interval) => {
@@ -411,26 +371,78 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
     Ok(RouterHandle {
         addr,
         state,
-        acceptor: Some(acceptor),
+        front,
+        pool,
         repair,
-        connections,
     })
 }
 
-fn serve_connection(state: &Arc<RouterState>, stream: TcpStream) {
-    let wants_shutdown = framing::serve_framed(
-        stream,
-        &state.limits,
-        &state.shutdown,
-        |req| handle_request(state, req),
-        |op, us, ok| state.metrics.record_request(op, us, ok),
-        |_ev: ConnEvent| {},
-    );
-    if wants_shutdown {
-        state.request_shutdown();
+/// The router's front-door handler: `ping`, `shutdown` and `inventory`
+/// are answered on the loop thread; everything that talks to a backend
+/// runs on the forwarding pool. A `register` is placed on the loop
+/// thread before its replicas are seeded, so a request pipelined right
+/// behind it on the same connection already finds the structure — as
+/// it would on a backend, which registers inline.
+struct RouterDispatch {
+    state: Arc<RouterState>,
+    pool: Arc<WorkerPool>,
+}
+
+impl EventHandler for RouterDispatch {
+    fn dispatch(&self, req: Request, responder: Responder) -> Dispatch {
+        match req {
+            Request::Ping | Request::Shutdown | Request::Inventory => {
+                responder.complete(handle_request(&self.state, req));
+                Dispatch::Accepted
+            }
+            Request::Register { graph_text } => match place(&self.state, &graph_text) {
+                Err(response) => {
+                    responder.complete(response);
+                    Dispatch::Accepted
+                }
+                Ok(placed) => {
+                    let state = Arc::clone(&self.state);
+                    event_loop::offload(&self.pool, "register", responder, move || {
+                        seed_replicas(&state, placed)
+                    })
+                }
+            },
+            req => {
+                let state = Arc::clone(&self.state);
+                event_loop::offload(&self.pool, req.op(), responder, move || {
+                    handle_request(&state, req)
+                })
+            }
+        }
+    }
+
+    fn retry(&self, job: Job) -> Result<(), Job> {
+        event_loop::resubmit(&self.pool, job)
+    }
+
+    fn observe(&self, op: &'static str, us: u64, ok: bool) {
+        self.state.metrics.record_request(op, us, ok);
+    }
+
+    fn conn_event(&self, ev: ConnEvent) {
+        let metrics = &self.state.metrics;
+        match ev {
+            ConnEvent::Accepted => {}
+            ConnEvent::Rejected => metrics.record_rejected_connection(),
+            ConnEvent::TruncatedFrame => metrics.record_truncated_frame(),
+            ConnEvent::OversizeClose => metrics.record_oversize_close(),
+            ConnEvent::IdleClose => metrics.record_idle_close(),
+            ConnEvent::OverLimitClose => metrics.record_over_limit(),
+        }
+    }
+
+    fn wants_shutdown(&self) {
+        self.state.request_shutdown();
     }
 }
 
+/// Answer one front-door request; blocking for everything that talks
+/// to a backend.
 fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
     match req {
         Request::Ping => Response::Pong,
@@ -470,7 +482,10 @@ fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
                 hypotheses,
             }
         }
-        Request::Register { graph_text } => handle_register(state, &graph_text),
+        Request::Register { graph_text } => match place(state, &graph_text) {
+            Ok(placed) => seed_replicas(state, placed),
+            Err(response) => response,
+        },
         req @ Request::Solve { .. } => handle_solve(state, req),
         Request::Evaluate {
             structure,
@@ -486,23 +501,55 @@ fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
 // register: place on the ring, seed every replica
 // ---------------------------------------------------------------------
 
-fn handle_register(state: &Arc<RouterState>, graph_text: &str) -> Response {
-    let g = match io::parse_graph(graph_text) {
-        Ok(g) => g,
-        Err(e) => return Response::error(format!("register: {e}")),
-    };
+/// A structure entered into the placement table, awaiting its
+/// replicas.
+struct Placed {
+    hash: u64,
+    canonical: String,
+    replicas: Vec<usize>,
+    vertices: usize,
+    edges: usize,
+    /// Whether this register created the placement entry.
+    fresh: bool,
+}
+
+/// Parse and content-hash a structure, place it on the ring, and enter
+/// it into the placement table (cheap enough for a loop thread).
+#[allow(clippy::result_large_err)] // Err is the wire reply, moved once.
+fn place(state: &Arc<RouterState>, graph_text: &str) -> Result<Placed, Response> {
+    let g = io::parse_graph(graph_text).map_err(|e| Response::error(format!("register: {e}")))?;
     let canonical = io::to_text(&g);
     let hash = fnv1a64(canonical.as_bytes());
-    let (vertices, edges) = (g.num_vertices(), g.num_edges());
     let replicas = state.ring.replicas_for(hash, state.replicas);
+    let fresh = {
+        let mut structures = state.structures.lock();
+        let fresh = !structures.contains_key(&hash);
+        structures.entry(hash).or_insert_with(|| StructureEntry {
+            graph_text: canonical.clone(),
+            replicas: replicas.clone(),
+        });
+        fresh
+    };
+    Ok(Placed {
+        hash,
+        canonical,
+        replicas,
+        vertices: g.num_vertices(),
+        edges: g.num_edges(),
+        fresh,
+    })
+}
 
-    let mut placed = Vec::new();
+/// Seed every replica of a placed structure. If none accepts, a
+/// placement this register created is withdrawn again.
+fn seed_replicas(state: &Arc<RouterState>, placed: Placed) -> Response {
+    let mut seeded = Vec::new();
     let mut last_error = String::new();
-    for &bi in &replicas {
-        match register_on(state, bi, &canonical) {
+    for &bi in &placed.replicas {
+        match register_on(state, bi, &placed.canonical) {
             Ok(()) => {
                 state.note_result(bi, true);
-                placed.push(state.backends[bi].addr.clone());
+                seeded.push(state.backends[bi].addr.clone());
             }
             Err(e) => {
                 state.note_result(bi, false);
@@ -510,32 +557,34 @@ fn handle_register(state: &Arc<RouterState>, graph_text: &str) -> Response {
             }
         }
     }
-    if placed.is_empty() {
+    if seeded.is_empty() {
+        if placed.fresh {
+            state.structures.lock().remove(&placed.hash);
+        }
         return Response::error_coded(
             "no_replicas",
             format!(
                 "register: no replica accepted structure {}: {last_error}",
-                hex64(hash)
+                hex64(placed.hash)
             ),
         );
     }
-    let fresh = state
+    // A concurrent failed register of the same structure may have
+    // withdrawn the entry; this one succeeded, so it stands.
+    state
         .structures
         .lock()
-        .insert(
-            hash,
-            StructureEntry {
-                graph_text: canonical,
-                replicas,
-            },
-        )
-        .is_none();
+        .entry(placed.hash)
+        .or_insert_with(|| StructureEntry {
+            graph_text: placed.canonical,
+            replicas: placed.replicas,
+        });
     Response::Registered {
-        structure: hash,
-        vertices,
-        edges,
-        fresh,
-        replicas: Some(placed),
+        structure: placed.hash,
+        vertices: placed.vertices,
+        edges: placed.edges,
+        fresh: placed.fresh,
+        replicas: Some(seeded),
     }
 }
 

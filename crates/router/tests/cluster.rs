@@ -9,6 +9,8 @@
 //! answers by `(type_keys, params, q)`, which agree across replicas.
 
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use folearn_cluster::{start as start_router, RouterConfig, RouterHandle};
@@ -17,9 +19,9 @@ use folearn_hardness::oracle::{BruteForceOracle, RemoteOracle};
 use folearn_hardness::reduction::{model_check_via_erm, ReductionReport};
 use folearn_logic::parse;
 use folearn_server::{
-    start as start_server, ChaosConfig, ChaosProxy, Client, ClientApi, ClientConfig,
-    ClientError, Direction, FaultKind, Request, Response, RetryPolicy, ServerConfig,
-    ServerHandle, SolverSpec, WireExample,
+    fnv1a64, start as start_server, ChaosConfig, ChaosProxy, Client, ClientApi, ClientConfig,
+    ClientError, Direction, FaultKind, Json, Request, Response, RetryPolicy, ServerConfig,
+    ServerHandle, SolverSpec, TraceContext, WireExample,
 };
 
 fn colored_path(n: usize, stride: usize) -> Graph {
@@ -472,4 +474,272 @@ fn evaluate_rebinds_after_the_learning_backend_dies() {
     for (_, h) in by_addr {
         h.shutdown();
     }
+}
+
+/// One backend and a router over it, the router built from `config`.
+fn router_with(config: RouterConfig) -> (RouterHandle, ServerHandle) {
+    let backend = start_server(&ServerConfig::default()).expect("backend starts");
+    let router = start_router(&RouterConfig {
+        backends: vec![backend.addr().to_string()],
+        ..config
+    })
+    .expect("router starts");
+    (router, backend)
+}
+
+/// Read one newline-terminated response from a raw socket.
+fn read_reply(stream: TcpStream) -> Response {
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a reply line");
+    Response::decode(line.trim_end()).expect("a protocol response")
+}
+
+/// A router stats counter by name.
+fn router_counter(router: &RouterHandle, name: &str) -> usize {
+    let stats = Client::connect(router.addr())
+        .expect("stats client connects")
+        .stats()
+        .expect("router stats");
+    stats
+        .get(name)
+        .and_then(Json::as_usize)
+        .unwrap_or_else(|| panic!("router stats lack {name}: {stats:?}"))
+}
+
+#[test]
+fn router_flood_past_the_cap_is_rejected_gracefully_and_the_router_survives() {
+    let (router, backend) = router_with(RouterConfig {
+        max_connections: 8,
+        ..RouterConfig::default()
+    });
+    let addr = router.addr();
+    // Hold the cap's worth of live connections...
+    let mut held: Vec<Client> = (0..8)
+        .map(|i| {
+            let mut c = Client::connect(addr).unwrap_or_else(|e| panic!("held conn {i}: {e}"));
+            c.ping().expect("held conn serves");
+            c
+        })
+        .collect();
+    // ...then flood well past it: every extra connection is answered
+    // with a bye, never ignored.
+    for _ in 0..60 {
+        let s = TcpStream::connect(addr).expect("tcp connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        match read_reply(s) {
+            Response::Bye { reason } => assert_eq!(reason, "connection limit"),
+            other => panic!("expected bye, got {other:?}"),
+        }
+    }
+    for c in &mut held {
+        c.ping().expect("survivors still served");
+    }
+    let stats = held[0].stats().expect("stats");
+    let rejected = stats
+        .get("rejected_connections")
+        .and_then(Json::as_usize)
+        .expect("rejected_connections counter");
+    assert!(rejected >= 60, "counted {rejected}");
+    drop(held);
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn router_slow_writer_is_served_not_idle_closed() {
+    let (router, backend) = router_with(RouterConfig {
+        idle_timeout: Duration::from_millis(300),
+        ..RouterConfig::default()
+    });
+    let mut s = TcpStream::connect(router.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.set_nodelay(true).unwrap();
+    let frame = format!("{}\n", Request::Ping.encode());
+    // Drip the frame over ~1s — more than 3× the idle timeout — in
+    // chunks spaced under the timeout.
+    for chunk in frame.as_bytes().chunks(2) {
+        s.write_all(chunk).expect("slow write");
+        std::thread::sleep(Duration::from_millis(150));
+    }
+    match read_reply(s) {
+        Response::Pong => {}
+        other => panic!("slow writer must be served, got {other:?}"),
+    }
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn router_counts_every_kind_of_closed_connection() {
+    let (router, backend) = router_with(RouterConfig {
+        max_line_bytes: 256,
+        idle_timeout: Duration::from_millis(300),
+        max_requests_per_conn: 2,
+        ..RouterConfig::default()
+    });
+    let connect = || {
+        let s = TcpStream::connect(router.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s
+    };
+    let ping = format!("{}\n", Request::Ping.encode());
+
+    // Oversize: a newline-less stream past the line cap.
+    let mut s = connect();
+    s.write_all(&[b'a'; 1024]).expect("write");
+    assert!(
+        matches!(read_reply(s), Response::Error { message, .. } if message.contains("exceeds 256 bytes"))
+    );
+    // Truncated: a frame cut short by a half-close.
+    let mut s = connect();
+    s.write_all(ping.trim_end().as_bytes()).expect("write");
+    s.shutdown(Shutdown::Write).expect("half-close");
+    assert!(
+        matches!(read_reply(s), Response::Error { message, .. } if message.contains("truncated"))
+    );
+    // Idle: nothing sent.
+    assert!(matches!(read_reply(connect()), Response::Bye { reason } if reason == "idle timeout"));
+    // Over limit: a third request on a two-request budget.
+    let mut s = connect();
+    s.write_all(ping.repeat(3).as_bytes()).expect("write");
+    let mut reader = BufReader::new(s);
+    let mut last = String::new();
+    for _ in 0..3 {
+        last.clear();
+        reader.read_line(&mut last).expect("reply");
+    }
+    assert!(
+        matches!(Response::decode(last.trim_end()), Ok(Response::Bye { reason }) if reason == "request limit")
+    );
+    drop(reader);
+
+    for name in [
+        "oversize_closes",
+        "truncated_frames",
+        "idle_closes",
+        "over_limit_closes",
+    ] {
+        assert_eq!(router_counter(&router, name), 1, "{name}");
+    }
+    router.shutdown();
+    backend.shutdown();
+}
+
+/// Container nesting of a JSON value (a scalar is depth 0).
+fn json_depth(v: &Json) -> usize {
+    match v {
+        Json::Arr(items) => 1 + items.iter().map(json_depth).max().unwrap_or(0),
+        Json::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| json_depth(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+#[test]
+fn a_line_of_brackets_is_a_malformed_request_on_both_daemons() {
+    let (router, backend) = router_with(RouterConfig::default());
+    // 20 KB of `[` used to overflow a loop thread's stack and abort the
+    // whole process.
+    let killer = format!("{}\n", "[".repeat(20_000));
+    for addr in [backend.addr(), router.addr()] {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(killer.as_bytes()).expect("write");
+        match read_reply(s) {
+            Response::Error { message, .. } => {
+                assert!(message.starts_with("malformed request"), "{message:?}");
+                assert!(message.contains("nesting deeper than"), "{message:?}");
+            }
+            other => panic!("expected a malformed-request error, got {other:?}"),
+        }
+    }
+    // Both daemons are still up.
+    Client::connect(backend.addr()).unwrap().ping().expect("backend alive");
+    Client::connect(router.addr()).unwrap().ping().expect("router alive");
+
+    // The deepest frame the system itself emits — a solve reply carrying
+    // the router's stitched span tree — stays far below the cap.
+    let mut c = Client::connect(router.addr()).expect("connect");
+    let structure = c.register(&io::to_text(&colored_path(8, 4))).expect("register");
+    let examples = (0..8u32)
+        .map(|v| WireExample {
+            tuple: vec![v],
+            label: v % 4 == 0,
+        })
+        .collect();
+    let outcome = c
+        .solve_traced(
+            structure,
+            examples,
+            1,
+            1,
+            0.0,
+            SolverSpec::default_brute(),
+            TraceContext {
+                trace_id: 7,
+                parent: 1,
+            },
+        )
+        .expect("traced solve");
+    let trace = outcome.trace.clone().expect("a stitched trace");
+    assert_eq!(trace.get("span").and_then(Json::as_str), Some("router.solve"));
+    let depth = json_depth(&Response::Solved(outcome).to_json());
+    assert!(
+        depth * 4 <= folearn_obs::json::MAX_DEPTH,
+        "a stitched solve reply nests {depth} deep, too close to the cap"
+    );
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn a_solve_pipelined_behind_its_register_finds_the_structure() {
+    // The router forwards both on its pool, so the solve may reach a
+    // backend first; placing the register before forwarding it (and
+    // re-seeding a replica that has not seen it yet) keeps the backend's
+    // register-then-use order on one connection.
+    let (router, backend) = router_with(RouterConfig::default());
+    let graph_text = io::to_text(&colored_path(8, 4));
+    let structure = fnv1a64(graph_text.as_bytes());
+    let solve = Request::Solve {
+        structure,
+        examples: (0..8u32)
+            .map(|v| WireExample {
+                tuple: vec![v],
+                label: v % 4 == 0,
+            })
+            .collect(),
+        ell: 1,
+        q: 1,
+        epsilon: 0.0,
+        solver: SolverSpec::default_brute(),
+        trace: None,
+    };
+    let blob = format!(
+        "{}\n{}\n",
+        Request::Register { graph_text }.encode(),
+        solve.encode()
+    );
+    let mut s = TcpStream::connect(router.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(blob.as_bytes()).expect("pipelined write");
+    let mut reader = BufReader::new(s);
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        replies.push(Response::decode(line.trim_end()).expect("decodes"));
+    }
+    assert!(
+        matches!(&replies[0], Response::Registered { structure: h, .. } if *h == structure),
+        "{:?}",
+        replies[0]
+    );
+    match &replies[1] {
+        Response::Solved(outcome) => assert_eq!(outcome.error, 0.0),
+        other => panic!("the pipelined solve must find its structure, got {other:?}"),
+    }
+    drop(reader);
+    router.shutdown();
+    backend.shutdown();
 }

@@ -1,51 +1,55 @@
-//! The nonblocking event core: readiness-loop shards that serve many
-//! pipelined connections per thread.
+//! The front door of both daemons: an acceptor plus readiness-loop
+//! shards that serve many pipelined connections per thread.
 //!
-//! The thread-per-connection front door ([`crate::framing::serve_framed`])
-//! spends one OS thread per peer blocked in `read_line`; at thousands
-//! of connections the scheduler thrash dominates and a failed
-//! `thread::spawn` used to kill the daemon outright. This module
-//! replaces it for the backend server: the acceptor hands each stream
-//! to one of a fixed set of *shard* threads, and each shard drives its
+//! [`start`] binds the whole front door for a daemon: one acceptor
+//! thread admits connections up to a cap (past it, a fresh connection
+//! gets one `bye (connection limit)` and a close) and deals them
+//! round-robin to a fixed set of *shard* threads; each shard drives its
 //! connections with nonblocking reads and writes from a hand-rolled
 //! readiness loop (std-only polling — no new dependencies, in the same
-//! spirit as the vendored shims).
+//! spirit as the vendored shims). The backend server and the cluster
+//! router run this identical loop and differ only in their
+//! [`EventHandler`].
 //!
 //! Per connection the shard keeps a read buffer and a write buffer.
 //! One wakeup decodes *every* complete newline-delimited frame in the
 //! read buffer (up to the per-connection in-flight cap), so a
 //! pipelining client pays one syscall for a burst of requests.
-//! Responses complete out of worker-pool callbacks: each decoded
-//! request claims an ordered *slot* in the connection's response queue
-//! and a [`Responder`] that fills it from whatever thread finishes the
-//! work. Slots flush strictly in order, so pipelined replies can never
-//! be reordered no matter how the pool schedules the jobs.
+//! Responses complete out of worker-pool callbacks ([`offload`]): each
+//! decoded request claims an ordered *slot* in the connection's
+//! response queue and a [`Responder`] that fills it from whatever
+//! thread finishes the work. Slots flush strictly in order, so
+//! pipelined replies can never be reordered no matter how the pool
+//! schedules the jobs.
 //!
-//! The lifecycle semantics of the framed loop survive verbatim: the
-//! oversize cap answers `malformed request: line exceeds N bytes` and
-//! closes, EOF mid-frame answers `malformed request: truncated frame
-//! (EOF before newline)`, the idle clock (which counts partial reads
-//! as activity) answers `bye (idle timeout)`, the request budget
-//! answers `bye (request limit)`, and daemon shutdown answers `bye
-//! (shutdown)` on every connection before the shards exit.
+//! Connection lifecycle: the oversize cap answers `malformed request:
+//! line exceeds N bytes` and closes, EOF mid-frame answers `malformed
+//! request: truncated frame (EOF before newline)`, the idle clock
+//! (which counts partial reads as activity) answers `bye (idle
+//! timeout)`, the request budget answers `bye (request limit)`, and
+//! daemon shutdown answers `bye (shutdown)` on every connection before
+//! the shards exit. Each limit violation is reported to the handler as
+//! a [`ConnEvent`] so the daemon can count it.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::sync::Arc;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::framing::{ConnEvent, ConnLimits};
-use crate::pool::Job;
+use crate::pool::{Job, TrySubmit, WorkerPool};
 use crate::proto::{Request, Response};
 
 /// How long a shard sleeps when a full pass over its connections made
 /// no progress (no bytes moved, no slots completed). Short enough that
-/// an idle daemon answers a lone request in well under a millisecond.
+/// an idle daemon answers a lone request in well under a millisecond;
+/// a completed slot wakes the shard early (see [`Responder`]).
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 /// How long shards keep flushing in-flight responses after shutdown is
@@ -55,23 +59,82 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 /// Read chunk size per `read` syscall.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// Pipelined requests one connection may have in flight before its
+/// shard stops reading from it.
+const MAX_INFLIGHT_PER_CONN: usize = 32;
+
+/// A connection with nothing in flight and no bytes moved for this long
+/// is *cold*: its shard reads it only every [`COLD_STRIDE`]-th pass. A
+/// `read` per connection per pass is most of what an idle loop costs,
+/// so cold peers must not pay it every time; the first request after
+/// such a silence waits at most that many passes.
+const COLD_AFTER: Duration = Duration::from_secs(1);
+
+/// Passes between reads of a cold connection.
+const COLD_STRIDE: u64 = 16;
+
+/// Most shard threads a front door runs (the loops are I/O-bound; past
+/// a few, more threads only add polling cost).
+const MAX_LOOPS: usize = 4;
+
+/// Per-connection limits enforced by the shards.
+#[derive(Clone, Copy, Debug)]
+pub struct ConnLimits {
+    /// Requests served per connection before the daemon closes it.
+    pub max_requests_per_conn: usize,
+    /// Longest request line the daemon will buffer.
+    pub max_line_bytes: usize,
+    /// Close a connection after this long without any activity — a
+    /// completed request *or* partial bytes of an in-progress frame.
+    pub idle_timeout: Duration,
+}
+
+/// A connection-lifecycle event the front door handled, surfaced so the
+/// daemon can count it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConnEvent {
+    /// A connection was admitted and handed to a shard.
+    Accepted,
+    /// A connection past the cap was answered `bye` and closed.
+    Rejected,
+    /// A frame was cut short by EOF (rejected, not served).
+    TruncatedFrame,
+    /// A request line exceeded [`ConnLimits::max_line_bytes`].
+    OversizeClose,
+    /// No activity (completed request or partial bytes) within
+    /// [`ConnLimits::idle_timeout`].
+    IdleClose,
+    /// The connection exceeded its request budget.
+    OverLimitClose,
+}
+
+/// Encode `response` and write it as one newline-terminated frame on a
+/// blocking stream (the acceptor's one-shot replies).
+fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+    let mut line = response.encode();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
 /// One ordered response slot in a connection's reply queue.
 struct Slot {
     cell: Mutex<Option<Response>>,
     op: &'static str,
     started: Instant,
     /// Whether draining this slot reports to the `observe` callback
-    /// (synthetic lifecycle replies — bye, oversize — do not, matching
-    /// the framed loop).
+    /// (synthetic lifecycle replies — bye, oversize — do not).
     observed: bool,
 }
 
-/// Completes one response slot from any thread. Dropping a responder
-/// without calling [`Responder::complete`] fills the slot with an
-/// error, so a worker dying between dequeue and reply can never wedge
-/// the connection's ordered flush.
+/// Completes one response slot from any thread, then wakes the owning
+/// shard so an offloaded reply is flushed without waiting out its idle
+/// sleep. Dropping a responder without calling [`Responder::complete`]
+/// fills the slot with an error, so a worker dying between dequeue and
+/// reply can never wedge the connection's ordered flush.
 pub struct Responder {
     slot: Option<Arc<Slot>>,
+    shard: Thread,
 }
 
 impl Responder {
@@ -79,6 +142,7 @@ impl Responder {
     pub fn complete(mut self, response: Response) {
         if let Some(slot) = self.slot.take() {
             *slot.cell.lock() = Some(response);
+            self.shard.unpark();
         }
     }
 }
@@ -92,6 +156,8 @@ impl Drop for Responder {
                     "request was dropped: server is shutting down",
                 ));
             }
+            drop(cell);
+            self.shard.unpark();
         }
     }
 }
@@ -108,8 +174,8 @@ pub enum Dispatch {
     Busy(Job),
 }
 
-/// The daemon half of the event core: request dispatch plus the metric
-/// and lifecycle callbacks the framed loop took as closures.
+/// The daemon half of the front door: request dispatch plus the metric
+/// and lifecycle callbacks.
 pub trait EventHandler: Send + Sync + 'static {
     /// Route one decoded request. Cheap requests should be answered
     /// inline (complete the responder and return [`Dispatch::Accepted`]);
@@ -129,16 +195,6 @@ pub trait EventHandler: Send + Sync + 'static {
     /// A served request asked for daemon-wide shutdown (its `bye` reply
     /// has already been queued on the issuing connection).
     fn wants_shutdown(&self);
-}
-
-/// Options for the event core.
-#[derive(Clone, Copy, Debug)]
-pub struct EventLoopOptions {
-    /// Per-connection limits (identical meaning to the framed loop).
-    pub limits: ConnLimits,
-    /// Pipelined requests a single connection may have in flight before
-    /// the shard stops reading from it.
-    pub max_inflight_per_conn: usize,
 }
 
 /// Why a connection left the loop (internal).
@@ -208,24 +264,30 @@ impl Conn {
         self.closing = true;
     }
 
-    /// Whether the shard may read more bytes from this peer.
-    fn may_read(&self, max_inflight: usize) -> bool {
+    /// Whether the shard may read more bytes from this peer; a cold one
+    /// only on a pass that reads cold connections.
+    fn may_read(&self, read_cold: bool) -> bool {
         !self.closing
             && !self.peer_eof
             && self.deferred.is_none()
-            && self.slots.len() < max_inflight
+            && self.slots.len() < MAX_INFLIGHT_PER_CONN
+            && (read_cold
+                || !self.slots.is_empty()
+                || self.last_activity.elapsed() < COLD_AFTER)
     }
 
     /// One full service pass: retry deferred work, read + decode, check
     /// the idle clock, drain completed slots, flush the write buffer.
+    /// `chunk` is the shard's read scratch, shared by its connections;
+    /// `read_cold` says whether this pass reads cold connections.
     fn tick(
         &mut self,
         handler: &dyn EventHandler,
-        opts: &EventLoopOptions,
+        limits: &ConnLimits,
+        chunk: &mut [u8],
+        read_cold: bool,
         progress: &mut bool,
     ) -> ConnFate {
-        let max_inflight = opts.max_inflight_per_conn.max(1);
-
         // Re-offer a parked compute job before anything else: its slot
         // is already in the queue and everything behind it is waiting.
         if let Some(job) = self.deferred.take() {
@@ -236,9 +298,8 @@ impl Conn {
         }
 
         // Read while the peer has bytes and the in-flight cap allows.
-        let mut chunk = [0u8; READ_CHUNK];
-        while self.may_read(max_inflight) {
-            match self.stream.read(&mut chunk) {
+        while self.may_read(read_cold) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.peer_eof = true;
                     *progress = true;
@@ -247,7 +308,7 @@ impl Conn {
                     *progress = true;
                     self.last_activity = Instant::now();
                     self.read_buf.extend_from_slice(&chunk[..n]);
-                    if self.decode_frames(handler, &opts.limits, max_inflight) {
+                    if self.decode_frames(handler, limits) {
                         return ConnFate::Closed;
                     }
                     if n < chunk.len() {
@@ -266,8 +327,8 @@ impl Conn {
         if !self.closing
             && self.deferred.is_none()
             && !self.read_buf.is_empty()
-            && self.slots.len() < max_inflight
-            && self.decode_frames(handler, &opts.limits, max_inflight)
+            && self.slots.len() < MAX_INFLIGHT_PER_CONN
+            && self.decode_frames(handler, limits)
         {
             return ConnFate::Closed;
         }
@@ -281,13 +342,13 @@ impl Conn {
 
         // Idle: only a connection with nothing pending in either
         // direction can be idle (a request being computed, or a reply
-        // mid-flush, is activity — same as the framed loop, where the
-        // clock only runs while waiting for the next line).
+        // mid-flush, is activity: the clock only runs while waiting for
+        // the next line).
         if !self.closing
             && self.slots.is_empty()
             && self.write_buf.len() == self.write_pos
             && self.deferred.is_none()
-            && self.last_activity.elapsed() >= opts.limits.idle_timeout
+            && self.last_activity.elapsed() >= limits.idle_timeout
         {
             handler.conn_event(ConnEvent::IdleClose);
             self.push_synthetic(Response::Bye {
@@ -311,8 +372,7 @@ impl Conn {
             if let Response::Bye { reason } = &response {
                 if !self.closing && reason == "shutdown" {
                     // A served shutdown request: tell the daemon after
-                    // the bye is queued, exactly like the framed loop
-                    // which writes the bye before returning `true`.
+                    // the bye is queued.
                     handler.wants_shutdown();
                 }
                 self.closing = true;
@@ -374,14 +434,12 @@ impl Conn {
     /// Decode every complete frame in the read buffer (bounded by the
     /// in-flight cap and the lifecycle limits). Returns `true` on a
     /// fatal framing failure (the connection must close with no reply).
-    fn decode_frames(
-        &mut self,
-        handler: &dyn EventHandler,
-        limits: &ConnLimits,
-        max_inflight: usize,
-    ) -> bool {
+    fn decode_frames(&mut self, handler: &dyn EventHandler, limits: &ConnLimits) -> bool {
         loop {
-            if self.closing || self.deferred.is_some() || self.slots.len() >= max_inflight {
+            if self.closing
+                || self.deferred.is_some()
+                || self.slots.len() >= MAX_INFLIGHT_PER_CONN
+            {
                 return false;
             }
             let nl = self.read_buf[self.scan_from..]
@@ -398,8 +456,7 @@ impl Conn {
                 self.scan_from = self.read_buf.len();
                 return false;
             };
-            // Frame length includes the newline, matching `read_line`
-            // in the framed loop.
+            // Frame length includes the newline.
             if nl + 1 > limits.max_line_bytes {
                 self.oversize(handler, limits);
                 return false;
@@ -407,8 +464,7 @@ impl Conn {
             let line: Vec<u8> = self.read_buf.drain(..=nl).collect();
             self.scan_from = 0;
             let Ok(text) = std::str::from_utf8(&line) else {
-                // The framed loop's `read_line` fails the connection on
-                // invalid UTF-8 without a reply; do the same.
+                // Invalid UTF-8 fails the connection without a reply.
                 return true;
             };
             if text.trim().is_empty() {
@@ -433,15 +489,20 @@ impl Conn {
                         observed: true,
                     });
                     self.slots.push_back(Arc::clone(&slot));
-                    match handler.dispatch(req, Responder { slot: Some(slot) }) {
+                    let responder = Responder {
+                        slot: Some(slot),
+                        shard: std::thread::current(),
+                    };
+                    match handler.dispatch(req, responder) {
                         Dispatch::Accepted => {}
                         Dispatch::Busy(job) => self.deferred = Some(job),
                     }
                 }
                 Err(e) => {
-                    // The prefix is load-bearing: see the framed loop —
-                    // a correct client treats `malformed request` as
-                    // proof of in-flight corruption and retries.
+                    // The prefix is load-bearing: a correct client knows
+                    // its frame was well-formed, so it treats `malformed
+                    // request` as proof of in-flight corruption and
+                    // retries (see `RetryPolicy::is_retryable`).
                     let slot = Arc::new(Slot {
                         cell: Mutex::new(Some(Response::error(format!(
                             "malformed request: {e}"
@@ -470,19 +531,25 @@ impl Conn {
 
 /// Run one shard: adopt connections from `inbox`, tick them until the
 /// daemon shuts down, keep `live` in sync so the acceptor's admission
-/// check and `tracked_connections` see the true count.
-pub fn shard_loop(
+/// check and [`FrontDoor::live`] see the true count.
+fn shard_loop(
     inbox: &Receiver<TcpStream>,
     handler: &Arc<dyn EventHandler>,
-    opts: &EventLoopOptions,
+    limits: &ConnLimits,
     shutdown: &AtomicBool,
     live: &AtomicUsize,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
+    // One read scratch per shard: zeroing a fresh one for every
+    // connection on every pass would cost more than the `read` itself.
+    let mut chunk = vec![0u8; READ_CHUNK];
     let mut shutdown_deadline: Option<Instant> = None;
     let mut inbox_closed = false;
+    let mut pass = 0u64;
     loop {
         let mut progress = false;
+        let read_cold = pass % COLD_STRIDE == 0;
+        pass = pass.wrapping_add(1);
 
         while !inbox_closed {
             match inbox.try_recv() {
@@ -513,7 +580,7 @@ pub fn shard_loop(
         }
 
         conns.retain_mut(|conn| {
-            match conn.tick(handler.as_ref(), opts, &mut progress) {
+            match conn.tick(handler.as_ref(), limits, &mut chunk, read_cold, &mut progress) {
                 ConnFate::Alive => true,
                 ConnFate::Closed => {
                     live.fetch_sub(1, Ordering::SeqCst);
@@ -530,15 +597,181 @@ pub fn shard_loop(
         }
 
         if !progress {
-            std::thread::sleep(IDLE_SLEEP);
+            std::thread::park_timeout(IDLE_SLEEP);
         }
     }
+}
+
+/// A running front door: the acceptor and shard threads of one daemon.
+pub struct FrontDoor {
+    acceptor: Option<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
+    num_loops: usize,
+    live: Arc<AtomicUsize>,
+}
+
+impl FrontDoor {
+    /// Connections currently owned by the shards.
+    pub fn live(&self) -> usize {
+        self.live.load(Ordering::SeqCst)
+    }
+
+    /// Shard (readiness-loop) threads serving connections.
+    pub fn loops(&self) -> usize {
+        self.num_loops
+    }
+
+    /// Wait for the acceptor and every shard to exit. They do once the
+    /// shutdown flag is set (and the acceptor has been woken by one more
+    /// connection); shards first flush in-flight replies, bounded by a
+    /// grace period.
+    pub fn join(&mut self) {
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
+        for h in self.loops.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Serve `listener` with `handler`: one acceptor thread that admits up
+/// to `max_connections` live connections and deals them round-robin to
+/// one shard thread per host core (at most four). Threads are named
+/// after `name`. Everything exits once `shutdown` is set; the daemon
+/// must then wake the blocked acceptor with one more connection.
+pub fn start(
+    name: &str,
+    listener: TcpListener,
+    handler: Arc<dyn EventHandler>,
+    limits: ConnLimits,
+    max_connections: usize,
+    shutdown: Arc<AtomicBool>,
+) -> std::io::Result<FrontDoor> {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let num_loops = cores.min(MAX_LOOPS);
+    let max_connections = max_connections.max(1);
+    let live = Arc::new(AtomicUsize::new(0));
+
+    let mut senders = Vec::with_capacity(num_loops);
+    let mut loops = Vec::with_capacity(num_loops);
+    for i in 0..num_loops {
+        let (tx, rx) = mpsc::channel::<TcpStream>();
+        senders.push(tx);
+        let handler = Arc::clone(&handler);
+        let live = Arc::clone(&live);
+        let shutdown = Arc::clone(&shutdown);
+        loops.push(
+            std::thread::Builder::new()
+                .name(format!("{name}-loop-{i}"))
+                .spawn(move || shard_loop(&rx, &handler, &limits, &shutdown, &live))?,
+        );
+    }
+
+    let acceptor = {
+        let live = Arc::clone(&live);
+        std::thread::Builder::new()
+            .name(format!("{name}-acceptor"))
+            .spawn(move || {
+                let mut next = 0usize;
+                for incoming in listener.incoming() {
+                    if shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(mut stream) = incoming else { continue };
+                    if live.load(Ordering::SeqCst) >= max_connections {
+                        handler.conn_event(ConnEvent::Rejected);
+                        let _ = write_response(
+                            &mut stream,
+                            &Response::Bye {
+                                reason: "connection limit".to_string(),
+                            },
+                        );
+                        continue;
+                    }
+                    handler.conn_event(ConnEvent::Accepted);
+                    live.fetch_add(1, Ordering::SeqCst);
+                    let shard = next % senders.len();
+                    next = next.wrapping_add(1);
+                    if let Err(back) = senders[shard].send(stream) {
+                        // The shard is gone (only plausible during
+                        // shutdown): degrade with a reply, not a panic.
+                        live.fetch_sub(1, Ordering::SeqCst);
+                        handler.conn_event(ConnEvent::Rejected);
+                        let mut stream = back.0;
+                        let _ = write_response(
+                            &mut stream,
+                            &Response::error("server overloaded: event loop unavailable"),
+                        );
+                    }
+                }
+            })?
+    };
+
+    Ok(FrontDoor {
+        acceptor: Some(acceptor),
+        loops,
+        num_loops,
+        live,
+    })
+}
+
+/// Package `run` into a pool job that completes `responder`. A panic in
+/// `run` is caught into a `"{prefix}: worker panicked: …"` error reply
+/// and counted (the worker thread survives either way; see the pool's
+/// own `catch_unwind` backstop). A full queue hands the job back as
+/// [`Dispatch::Busy`] for the shard to park.
+pub fn offload(
+    pool: &WorkerPool,
+    prefix: &'static str,
+    responder: Responder,
+    run: impl FnOnce() -> Response + Send + 'static,
+) -> Dispatch {
+    let panics = pool.panic_cell();
+    let job: Job = Box::new(move || {
+        let response = match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(response) => response,
+            Err(payload) => {
+                panics.fetch_add(1, Ordering::Relaxed);
+                folearn_obs::count(folearn_obs::Counter::WorkerPanics, 1);
+                let message = panic_message(&payload);
+                Response::error(format!("{prefix}: worker panicked: {message}"))
+            }
+        };
+        responder.complete(response);
+    });
+    match pool.try_submit(job) {
+        Ok(()) => Dispatch::Accepted,
+        Err(TrySubmit::Full(job)) => Dispatch::Busy(job),
+        // Pool is shutting down: the dropped job's responder has
+        // already answered the slot with an error.
+        Err(TrySubmit::Closed) => Dispatch::Accepted,
+    }
+}
+
+/// Re-offer a parked job to `pool`: the [`EventHandler::retry`] of a
+/// handler that offloads with [`offload`].
+pub fn resubmit(pool: &WorkerPool, job: Job) -> Result<(), Job> {
+    match pool.try_submit(job) {
+        Ok(()) => Ok(()),
+        Err(TrySubmit::Full(job)) => Err(job),
+        // Dropped job: its responder answered the slot already.
+        Err(TrySubmit::Closed) => Ok(()),
+    }
+}
+
+fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use std::io::{BufRead, BufReader};
 
     /// A handler that answers pings inline and never offloads.
     struct Echo;
@@ -562,96 +795,109 @@ mod tests {
         fn wants_shutdown(&self) {}
     }
 
-    fn harness(
-        opts: EventLoopOptions,
-    ) -> (
-        std::net::SocketAddr,
-        Arc<AtomicBool>,
-        std::thread::JoinHandle<()>,
-    ) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    /// Run `body` against an echo front door, then shut it down.
+    fn with_echo(limits: ConnLimits, body: impl FnOnce(std::net::SocketAddr)) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown2 = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || {
-            let (tx, rx) = mpsc::channel();
-            let live = Arc::new(AtomicUsize::new(0));
-            let handler: Arc<dyn EventHandler> = Arc::new(Echo);
-            listener.set_nonblocking(true).unwrap();
-            let accept_shutdown = Arc::clone(&shutdown2);
-            let accept_live = Arc::clone(&live);
-            std::thread::spawn(move || {
-                while !accept_shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            accept_live.fetch_add(1, Ordering::SeqCst);
-                            let _ = tx.send(stream);
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            });
-            shard_loop(&rx, &handler, &opts, &shutdown2, &live);
-        });
-        (addr, shutdown, handle)
-    }
-
-    fn opts(limits: ConnLimits) -> EventLoopOptions {
-        EventLoopOptions {
+        let mut front = start(
+            "echo",
+            listener,
+            Arc::new(Echo),
             limits,
-            max_inflight_per_conn: 32,
-        }
+            16,
+            Arc::clone(&shutdown),
+        )
+        .unwrap();
+        body(addr);
+        shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        front.join();
+        assert_eq!(front.live(), 0, "every connection is accounted for");
     }
 
     #[test]
     fn pipelined_pings_come_back_in_order() {
-        use std::io::{BufRead, BufReader};
-        let (addr, shutdown, handle) = harness(opts(ConnLimits {
+        let limits = ConnLimits {
             max_requests_per_conn: 1000,
             max_line_bytes: 1 << 20,
             idle_timeout: Duration::from_secs(30),
-        }));
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let burst = "{\"op\":\"ping\"}\n".repeat(50);
-        stream.write_all(burst.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        for _ in 0..50 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.contains("pong"), "got {line:?}");
-        }
-        drop(reader);
-        drop(stream);
-        shutdown.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        };
+        with_echo(limits, |addr| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let burst = "{\"op\":\"ping\"}\n".repeat(50);
+            stream.write_all(burst.as_bytes()).unwrap();
+            let mut reader = BufReader::new(stream);
+            for _ in 0..50 {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert!(line.contains("pong"), "got {line:?}");
+            }
+        });
     }
 
     #[test]
     fn oversize_mid_pipeline_answers_pending_then_errors() {
-        use std::io::{BufRead, BufReader};
-        let (addr, shutdown, handle) = harness(opts(ConnLimits {
+        let limits = ConnLimits {
             max_requests_per_conn: 1000,
             max_line_bytes: 64,
             idle_timeout: Duration::from_secs(30),
-        }));
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let mut burst = String::from("{\"op\":\"ping\"}\n");
-        burst.push_str(&"x".repeat(200));
-        burst.push('\n');
-        stream.write_all(burst.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("pong"), "got {line:?}");
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("exceeds 64 bytes"), "got {line:?}");
-        line.clear();
-        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "closed after");
-        shutdown.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        };
+        with_echo(limits, |addr| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut burst = String::from("{\"op\":\"ping\"}\n");
+            burst.push_str(&"x".repeat(200));
+            burst.push('\n');
+            stream.write_all(burst.as_bytes()).unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("pong"), "got {line:?}");
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("exceeds 64 bytes"), "got {line:?}");
+            line.clear();
+            assert_eq!(reader.read_line(&mut line).unwrap(), 0, "closed after");
+        });
+    }
+
+    #[test]
+    fn offload_turns_a_panic_into_an_error_reply_and_the_pool_survives() {
+        let pool = WorkerPool::new(1, 4);
+        let run = |run: Box<dyn FnOnce() -> Response + Send>| {
+            let slot = Arc::new(Slot {
+                cell: Mutex::new(None),
+                op: "solve",
+                started: Instant::now(),
+                observed: true,
+            });
+            let responder = Responder {
+                slot: Some(Arc::clone(&slot)),
+                shard: std::thread::current(),
+            };
+            assert!(matches!(
+                offload(&pool, "solve", responder, run),
+                Dispatch::Accepted
+            ));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                if let Some(response) = slot.cell.lock().take() {
+                    return response;
+                }
+                assert!(Instant::now() < deadline, "the slot was never completed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        match run(Box::new(|| panic!("boom at level {}", 3))) {
+            Response::Error { message, .. } => {
+                assert!(message.starts_with("solve: worker panicked"), "{message:?}");
+                assert!(message.contains("boom at level 3"), "{message:?}");
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        assert_eq!(pool.panic_count(), 1);
+        // The single worker survived and still serves.
+        assert!(matches!(run(Box::new(|| Response::Pong)), Response::Pong));
+        assert_eq!(pool.num_workers(), 1);
     }
 }

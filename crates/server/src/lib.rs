@@ -7,11 +7,10 @@
 //! * [`proto`] — wire format: framing, the [`proto::Json`] value type,
 //!   request/response envelopes, FNV-1a content hashing;
 //! * [`server`] — the daemon: structure registry, bounded worker pool
-//!   dispatch, sharded LRU result cache, metrics, graceful shutdown,
-//!   with two service cores (nonblocking event loop by default, the
-//!   thread-per-connection baseline behind [`server::CoreMode`]);
-//! * [`event_loop`] — the nonblocking readiness shards: per-connection
-//!   read/write buffers, pipelined frame decoding, ordered response
+//!   dispatch, sharded LRU result cache, metrics, graceful shutdown;
+//! * [`event_loop`] — the front door shared with the cluster router:
+//!   an acceptor plus nonblocking readiness shards with per-connection
+//!   read/write buffers, pipelined frame decoding, and ordered response
 //!   slots completed from worker-pool callbacks;
 //! * [`client`] — a blocking typed client, with optional deadlines
 //!   ([`client::ClientConfig`]) and a retrying wrapper
@@ -47,7 +46,6 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod event_loop;
-pub mod framing;
 pub mod loadgen;
 pub mod metrics;
 pub mod pool;
@@ -65,4 +63,4 @@ pub use proto::{
     fnv1a64, hex64, parse_hex64, Json, ProtoError, Request, Response, SolveOutcome, SolverSpec,
     TraceContext, WireBinding, WireExample, WireHypothesis, WireProvenance,
 };
-pub use server::{start, CoreMode, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle};

@@ -96,7 +96,6 @@ struct Inner {
     truncated_frames: u64,
     rejected_connections: u64,
     worker_panics: u64,
-    core: &'static str,
     event_loops: u64,
     cache_shards: u64,
     durable: bool,
@@ -142,7 +141,6 @@ impl Metrics {
                 truncated_frames: 0,
                 rejected_connections: 0,
                 worker_panics: 0,
-                core: "thread",
                 event_loops: 0,
                 cache_shards: 1,
                 durable: false,
@@ -240,12 +238,10 @@ impl Metrics {
         self.inner.lock().worker_panics = panics;
     }
 
-    /// Record which service core is driving connections (`"thread"` or
-    /// `"event"`), its readiness-loop count (0 for the threaded core),
-    /// and the cache/registry shard count.
-    pub fn set_core_info(&self, core: &'static str, event_loops: usize, cache_shards: usize) {
+    /// Record the front door's readiness-loop count and the
+    /// cache/registry shard count.
+    pub fn set_core_info(&self, event_loops: usize, cache_shards: usize) {
         let mut inner = self.inner.lock();
-        inner.core = core;
         inner.event_loops = event_loops as u64;
         inner.cache_shards = cache_shards as u64;
     }
@@ -339,7 +335,6 @@ impl Metrics {
                 Json::Num(inner.rejected_connections as f64),
             ),
             ("worker_panics", Json::Num(inner.worker_panics as f64)),
-            ("core", Json::str(inner.core)),
             ("event_loops", Json::Num(inner.event_loops as f64)),
             ("structures", Json::Num(inner.structures as f64)),
             ("hypotheses", Json::Num(inner.hypotheses as f64)),

@@ -92,7 +92,9 @@ pub struct WireExample {
 /// Which solver a `solve` request runs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolverSpec {
-    /// Brute-force ERM (Proposition 11) with engine knobs.
+    /// Brute-force ERM (Proposition 11) with sweep knobs. Messages
+    /// from older peers may carry an `engine` field; it is ignored
+    /// (solving tallies types and never evaluates formulas).
     Brute {
         /// Type notion (`TypeMode` string form: `global`, `local=R`, …).
         mode: TypeMode,
@@ -100,10 +102,6 @@ pub enum SolverSpec {
         threads: Option<usize>,
         /// Shared-bound pruning.
         prune: bool,
-        /// Formula-evaluation backend (`tree` or `vm`). Part of the
-        /// canonical form, so it enters the solve-cache key: a `vm`
-        /// solve is never answered from a `tree` cache entry.
-        engine: EvalEngine,
     },
     /// The nowhere-dense learner (Theorem 13) with its default config.
     Nd,
@@ -118,7 +116,6 @@ impl SolverSpec {
             mode: TypeMode::Global,
             threads: None,
             prune: true,
-            engine: EvalEngine::TreeWalk,
         }
     }
 
@@ -130,7 +127,6 @@ impl SolverSpec {
                 mode,
                 threads,
                 prune,
-                engine,
             } => Json::obj([
                 ("name", Json::str("brute")),
                 ("mode", Json::str(mode.to_string())),
@@ -139,7 +135,6 @@ impl SolverSpec {
                     threads.map_or(Json::Null, Json::int),
                 ),
                 ("prune", Json::Bool(*prune)),
-                ("engine", Json::str(engine.name())),
             ]),
             SolverSpec::Nd => Json::obj([("name", Json::str("nd"))]),
         }
@@ -158,7 +153,6 @@ impl SolverSpec {
                     })?),
                 },
                 prune: get_bool(v, "prune")?,
-                engine: parse_engine(v)?,
             }),
             "nd" => Ok(SolverSpec::Nd),
             other => Err(ProtoError::new(format!("unknown solver {other:?}"))),
@@ -486,20 +480,17 @@ impl Request {
     }
 }
 
-/// The solved payload: a full `SolveReport` plus the server-side
-/// hypothesis handle.
+/// The solved payload: the deterministic part of a `SolveReport` plus
+/// the server-side hypothesis handle. Work accounting (parameters
+/// evaluated and pruned) depends on thread scheduling, so it stays out
+/// of the cacheable reply and reaches `stats` and traces instead; older
+/// peers' `work`/`evaluated`/`pruned` fields are ignored on decode.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveOutcome {
     /// Whether the answer came from the result cache.
     pub cached: bool,
     /// Training error achieved.
     pub error: f64,
-    /// Solver work measure (`evaluated + pruned` for brute force).
-    pub work: usize,
-    /// Parameter tuples tallied to completion.
-    pub evaluated: usize,
-    /// Parameter tuples pruned mid-tally.
-    pub pruned: usize,
     /// Solver name (as in `SolveReport::solver_name`).
     pub solver: String,
     /// The learned hypothesis.
@@ -768,9 +759,6 @@ impl Response {
                 ("resp", Json::str("solved")),
                 ("cached", Json::Bool(o.cached)),
                 ("error", Json::Num(o.error)),
-                ("work", Json::int(o.work)),
-                ("evaluated", Json::int(o.evaluated)),
-                ("pruned", Json::int(o.pruned)),
                 ("solver", Json::str(o.solver.clone())),
                 ("hypothesis", o.hypothesis.to_json()),
                 ("trace", o.trace.clone().unwrap_or(Json::Null)),
@@ -859,9 +847,6 @@ impl Response {
                     .get("error")
                     .and_then(Json::as_num)
                     .ok_or_else(|| ProtoError::new("solved.error must be a number"))?,
-                work: get_usize(v, "work")?,
-                evaluated: get_usize(v, "evaluated")?,
-                pruned: get_usize(v, "pruned")?,
                 solver: get_str(v, "solver")?.to_string(),
                 hypothesis: WireHypothesis::from_json(
                     v.get("hypothesis")
@@ -1043,7 +1028,6 @@ mod tests {
                     mode: TypeMode::Local { r: 2 },
                     threads: Some(4),
                     prune: true,
-                    engine: EvalEngine::Vm,
                 },
                 trace: Some(TraceContext {
                     trace_id: 0x1234_5678_9abc_def0,
@@ -1109,9 +1093,6 @@ mod tests {
             Response::Solved(SolveOutcome {
                 cached: true,
                 error: 0.125,
-                work: 1024,
-                evaluated: 25,
-                pruned: 999,
                 solver: "brute-force (Prop 11)".to_string(),
                 hypothesis: WireHypothesis {
                     id: 3,
@@ -1139,9 +1120,6 @@ mod tests {
             Response::Solved(SolveOutcome {
                 cached: false,
                 error: 0.0,
-                work: 1,
-                evaluated: 1,
-                pruned: 0,
                 solver: "nd (Thm 13)".to_string(),
                 hypothesis: WireHypothesis {
                     id: 4,
@@ -1226,34 +1204,36 @@ mod tests {
     }
 
     #[test]
-    fn engine_field_defaults_to_tree_and_splits_cache_keys() {
+    fn modelcheck_engine_defaults_to_tree() {
         // Messages from older clients omit `engine`.
         let legacy = r#"{"op": "modelcheck", "structure": "000000000000002a", "formula": "t"}"#;
         match Request::decode(legacy).unwrap() {
             Request::ModelCheck { engine, .. } => assert_eq!(engine, EvalEngine::TreeWalk),
             other => panic!("{other:?}"),
         }
-        let legacy_solver =
-            Json::parse(r#"{"name": "brute", "mode": "global", "prune": true}"#).unwrap();
-        assert_eq!(
-            SolverSpec::from_json(&legacy_solver).unwrap(),
-            SolverSpec::default_brute()
-        );
-        assert!(SolverSpec::from_json(
-            &Json::parse(r#"{"name": "brute", "mode": "global", "prune": true, "engine": "warp"}"#)
-                .unwrap()
+        assert!(Request::decode(
+            r#"{"op": "modelcheck", "structure": "000000000000002a", "formula": "t", "engine": "warp"}"#
         )
         .is_err());
-        // The canonical form — hence the solve-cache key — distinguishes
-        // the engines.
-        let mut vm = SolverSpec::default_brute();
-        if let SolverSpec::Brute { engine, .. } = &mut vm {
-            *engine = EvalEngine::Vm;
-        }
-        assert_ne!(
-            fnv1a64(SolverSpec::default_brute().to_json().render().as_bytes()),
-            fnv1a64(vm.to_json().render().as_bytes()),
+    }
+
+    #[test]
+    fn solve_frames_carrying_the_retired_engine_field_still_decode() {
+        // Solve frames and WAL records written before the solve-side
+        // engine knob was retired carry `"engine":"vm"`. They decode to
+        // the engine-free spec, so they share its solve-cache key.
+        let old = concat!(
+            r#"{"op": "solve", "structure": "0000000000000007", "examples": [], "ell": 0, "#,
+            r#""q": 0, "epsilon": 0.5, "solver": {"name": "brute", "mode": "global", "#,
+            r#""threads": null, "prune": true, "engine": "vm"}}"#,
         );
+        match Request::decode(old).unwrap() {
+            Request::Solve { solver, .. } => {
+                assert_eq!(solver, SolverSpec::default_brute());
+                assert!(!solver.to_json().render().contains("engine"));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -1,32 +1,25 @@
 //! The daemon: TCP listener, structure registry, solve dispatch, and
 //! graceful shutdown.
 //!
-//! Two service cores share all of the dispatch logic:
+//! Connections are served by the front door of [`crate::event_loop`]:
+//! a fixed set of loop threads drives every connection with
+//! per-connection read/write buffers and decodes many pipelined frames
+//! per wakeup. [`ServerDispatch`] answers cheap requests (ping, stats,
+//! register, cache hits, validation errors) inline on the loop thread
+//! and offloads compute-shaped work (`solve`, `evaluate`, `modelcheck`)
+//! to the bounded [`WorkerPool`], whose callbacks complete the
+//! connection's ordered response slots. Duplicate solves planned before
+//! their twin's result reaches the cache — routine inside a pipelined
+//! window — coalesce onto the one in-flight computation
+//! ([`State::inflight`]) and are replayed to every waiter as cache hits
+//! when it lands.
 //!
-//! * [`CoreMode::EventLoop`] (the default) — the nonblocking readiness
-//!   shards of [`crate::event_loop`]: a fixed set of loop threads
-//!   drives every connection with per-connection read/write buffers,
-//!   decodes many pipelined frames per wakeup, answers cheap requests
-//!   (ping, stats, register, cache hits, validation errors) inline on
-//!   the loop thread, and offloads compute-shaped work (`solve`,
-//!   `evaluate`, `modelcheck`) to the bounded [`WorkerPool`], whose
-//!   callbacks complete the connection's ordered response slots.
-//!   Duplicate solves planned before their twin's result reaches the
-//!   cache — routine inside a pipelined window — coalesce onto the one
-//!   in-flight computation ([`State::inflight`]) and are replayed to
-//!   every waiter as cache hits when it lands.
-//! * [`CoreMode::Threaded`] — the original thread-per-connection front
-//!   door over [`crate::framing::serve_framed`], kept as the measurable
-//!   baseline (experiment E23 compares the two) and for callers that
-//!   prefer one blocking thread per peer at small connection counts.
-//!
-//! Backpressure is structural in both cores: the pool queue is
-//! bounded, a connection may have at most `max_inflight_per_conn`
-//! requests in flight (one, in the threaded core), and each connection
-//! is closed after [`ServerConfig::max_requests_per_conn`] requests.
-//! Resource exhaustion degrades instead of panicking: past the
-//! connection cap (or on a failed `thread::spawn`) a fresh connection
-//! gets one reply and a close, counted as `rejected_connections`.
+//! Backpressure is structural: the pool queue is bounded, a connection
+//! may have a bounded number of requests in flight, and each
+//! connection is closed after [`ServerConfig::max_requests_per_conn`]
+//! requests. Resource exhaustion degrades instead of panicking: past
+//! the connection cap a fresh connection gets one reply and a close,
+//! counted as `rejected_connections`.
 //!
 //! # Registry and arenas
 //!
@@ -46,17 +39,14 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use folearn::bruteforce::BruteForceOpts;
 use folearn::ndlearner::NdConfig;
 use folearn::problem::{ErmInstance, TrainingSequence};
-use folearn::{solve_fo_erm_with_engine, Hypothesis, SharedArena, Solver};
+use folearn::{solve_fo_erm, Hypothesis, SharedArena, Solver};
 use folearn_graph::{io, Graph, V};
 use folearn_logic::parser;
 use folearn_logic::vm::EvalEngine;
@@ -64,10 +54,9 @@ use folearn_types::TypeArena;
 use parking_lot::Mutex;
 
 use crate::cache::{ShardedCache, ShardedMap};
-use crate::event_loop::{self, Dispatch, EventHandler, EventLoopOptions, Responder};
-use crate::framing::{self, ConnEvent, ConnLimits};
+use crate::event_loop::{self, ConnEvent, ConnLimits, Dispatch, EventHandler, FrontDoor, Responder};
 use crate::metrics::Metrics;
-use crate::pool::{Job, TrySubmit, WorkerPool};
+use crate::pool::{Job, WorkerPool};
 use crate::proto::{
     fnv1a64, hex64, Json, Request, Response, SolveOutcome, SolverSpec, TraceContext, WireBinding,
     WireExample, WireHypothesis,
@@ -79,27 +68,6 @@ use crate::snapshot::{Durability, DurableRecord, DEFAULT_SNAPSHOT_EVERY};
 /// daemon trying to spawn a million OS threads.
 pub const MAX_SOLVER_THREADS: usize = 256;
 
-/// Which service core drives connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreMode {
-    /// One blocking OS thread per connection (the pre-event-loop
-    /// design; kept as the E23 baseline).
-    Threaded,
-    /// Nonblocking readiness shards with pipelining (the default).
-    EventLoop,
-}
-
-impl std::str::FromStr for CoreMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "thread" | "threaded" => Ok(CoreMode::Threaded),
-            "event" | "event-loop" => Ok(CoreMode::EventLoop),
-            other => Err(format!("unknown core {other:?} (use thread|event)")),
-        }
-    }
-}
-
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -107,8 +75,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads for compute requests (`0` = one per core).
     pub workers: usize,
-    /// Pending compute jobs before submitters block (threaded core) or
-    /// defer per connection (event core).
+    /// Pending compute jobs before a connection's next compute request
+    /// is parked until the queue has room.
     pub queue_depth: usize,
     /// Result-cache entries (`0` disables caching).
     pub cache_capacity: usize,
@@ -127,21 +95,11 @@ pub struct ServerConfig {
     /// Close a connection after this long without activity (a completed
     /// request or partial bytes of an in-progress frame). Bounds
     /// abandoned sockets; the oversize cap bounds slow-loris peers.
-    /// Detection granularity is the read-poll interval.
     pub idle_timeout: Duration,
     /// Concurrent connections the daemon accepts; above the cap a fresh
     /// connection is greeted with `bye` and closed (counted under
     /// `rejected_connections`).
     pub max_connections: usize,
-    /// Which service core to run (default: the event loop).
-    pub core: CoreMode,
-    /// Readiness-loop shard threads for the event core (`0` = one per
-    /// host core, capped at 4 — the loops are I/O-bound).
-    pub event_loops: usize,
-    /// Pipelined requests one connection may have in flight before the
-    /// event core stops reading from it (ignored by the threaded core,
-    /// which is strictly request/reply).
-    pub max_inflight_per_conn: usize,
     /// Lock shards for the result cache, the structure registry, and
     /// the hypothesis store.
     pub cache_shards: usize,
@@ -169,9 +127,6 @@ impl Default for ServerConfig {
             max_line_bytes: 4 << 20,
             idle_timeout: Duration::from_secs(300),
             max_connections: 256,
-            core: CoreMode::EventLoop,
-            event_loops: 0,
-            max_inflight_per_conn: 32,
             cache_shards: 8,
             data_dir: None,
             snapshot_every: 0,
@@ -195,13 +150,13 @@ struct State {
     /// replayed trace can be stamped with its age.
     cache: ShardedCache<(SolveOutcome, Instant)>,
     /// Solve computations currently running on the pool, keyed like the
-    /// result cache (event core only). A pipelined duplicate of a solve
-    /// whose twin has been planned but not yet cached attaches its
-    /// responder here instead of recomputing; the running job fans its
-    /// outcome out to every waiter when it completes.
+    /// result cache. A pipelined duplicate of a solve whose twin has
+    /// been planned but not yet cached attaches its responder here
+    /// instead of recomputing; the running job fans its outcome out to
+    /// every waiter when it completes.
     inflight: Mutex<HashMap<(u64, u64, u64), Vec<Responder>>>,
     metrics: Metrics,
-    shutdown: AtomicBool,
+    shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
     max_requests_per_conn: usize,
     max_line_bytes: usize,
@@ -270,27 +225,14 @@ impl State {
     }
 }
 
-/// Per-core bookkeeping inside a [`ServerHandle`].
-enum CoreHandles {
-    Threaded {
-        connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-        pool: Arc<WorkerPool>,
-    },
-    Event {
-        loops: Vec<JoinHandle<()>>,
-        live: Arc<AtomicUsize>,
-        pool: Arc<WorkerPool>,
-    },
-}
-
 /// A running daemon. Dropping the handle without calling
 /// [`ServerHandle::shutdown`] or [`ServerHandle::wait`] aborts less
 /// gracefully (threads are detached), so call one of them.
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<State>,
-    acceptor: Option<JoinHandle<()>>,
-    core: CoreHandles,
+    front: FrontDoor,
+    pool: Arc<WorkerPool>,
 }
 
 impl ServerHandle {
@@ -299,15 +241,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Live connections currently tracked. Threaded core: connection
-    /// handles not yet reaped (the acceptor reaps on every accept, so
-    /// this stays bounded however many connections the daemon has ever
-    /// served). Event core: connections currently owned by the shards.
+    /// Live connections currently owned by the front door's shards.
     pub fn tracked_connections(&self) -> usize {
-        match &self.core {
-            CoreHandles::Threaded { connections, .. } => connections.lock().len(),
-            CoreHandles::Event { live, .. } => live.load(Ordering::SeqCst),
-        }
+        self.front.live()
     }
 
     /// Ask the daemon to stop, then wait for all threads.
@@ -322,44 +258,13 @@ impl ServerHandle {
     }
 
     fn join_all(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        match &mut self.core {
-            CoreHandles::Threaded { connections, pool } => {
-                // Acceptor has exited, so no new connections appear;
-                // join the existing ones (they exit within one poll
-                // interval of the shutdown flag, or as soon as their
-                // client hangs up).
-                loop {
-                    let handle = connections.lock().pop();
-                    match handle {
-                        Some(h) => {
-                            let _ = h.join();
-                        }
-                        None => break,
-                    }
-                }
-                // Workers drain their queue and exit when the pool
-                // drops its sender. `Arc::get_mut` succeeds because
-                // every clone lived in a connection thread we just
-                // joined.
-                if let Some(pool) = Arc::get_mut(pool) {
-                    pool.shutdown();
-                }
-            }
-            CoreHandles::Event { loops, pool, .. } => {
-                // Shards flush in-flight responses (bounded by the
-                // shutdown grace) and exit; their handler clones — the
-                // only other pool references — drop with them. Jobs
-                // never capture the pool (see `WorkerPool::panic_cell`).
-                for h in loops.drain(..) {
-                    let _ = h.join();
-                }
-                if let Some(pool) = Arc::get_mut(pool) {
-                    pool.shutdown();
-                }
-            }
+        // Shards flush in-flight responses (bounded by the shutdown
+        // grace) and exit; their handler clones — the only other pool
+        // references — drop with them. Jobs never capture the pool (see
+        // `WorkerPool::panic_cell`).
+        self.front.join();
+        if let Some(pool) = Arc::get_mut(&mut self.pool) {
+            pool.shutdown();
         }
     }
 }
@@ -380,7 +285,7 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         cache: ShardedCache::new(config.cache_capacity, shards),
         inflight: Mutex::new(HashMap::new()),
         metrics: Metrics::new(),
-        shutdown: AtomicBool::new(false),
+        shutdown: Arc::new(AtomicBool::new(false)),
         addr,
         max_requests_per_conn: config.max_requests_per_conn.max(1),
         max_line_bytes: config.max_line_bytes.max(1),
@@ -396,24 +301,38 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         recover(&state, dir, every)?;
     }
     let pool = Arc::new(WorkerPool::new(config.workers, config.queue_depth));
-    let max_connections = config.max_connections.max(1);
-    match config.core {
-        CoreMode::Threaded => {
-            state.metrics.set_core_info("thread", 0, state.cache.num_shards());
-            start_threaded(listener, state, pool, max_connections)
-        }
-        CoreMode::EventLoop => start_event(config, listener, state, pool, max_connections),
-    }
+    let handler = Arc::new(ServerDispatch {
+        state: Arc::clone(&state),
+        pool: Arc::clone(&pool),
+    });
+    let front = event_loop::start(
+        "folearn",
+        listener,
+        handler,
+        state.limits(),
+        config.max_connections,
+        Arc::clone(&state.shutdown),
+    )?;
+    state
+        .metrics
+        .set_core_info(front.loops(), state.cache.num_shards());
+    Ok(ServerHandle {
+        addr,
+        state,
+        front,
+        pool,
+    })
 }
 
 /// Replay the durable history of `dir` into a freshly built state,
 /// then activate the WAL for new mutations.
 ///
-/// Replay runs single-threaded before any core thread exists, which is
-/// what makes id forcing sound: each logged solve stores its recorded
-/// id into `next_hypothesis` so the `fetch_add` inside [`run_solve`]
-/// hands back exactly the pre-crash id, even though concurrent solves
-/// may have been *logged* in completion order rather than id order.
+/// Replay runs single-threaded before any front-door thread exists,
+/// which is what makes id forcing sound: each logged solve stores its
+/// recorded id into `next_hypothesis` so the `fetch_add` inside
+/// [`run_solve`] hands back exactly the pre-crash id, even though
+/// concurrent solves may have been *logged* in completion order rather
+/// than id order.
 /// Replayed solves run through the same [`plan_solve`]/[`run_solve`]
 /// path as live traffic (minus the cache short-circuit, so a re-logged
 /// key after an LRU eviction still reconstructs both store entries),
@@ -473,197 +392,10 @@ fn recover(state: &Arc<State>, dir: &std::path::Path, snapshot_every: usize) -> 
     Ok(())
 }
 
-/// The thread-per-connection core: the E23 baseline.
-fn start_threaded(
-    listener: TcpListener,
-    state: Arc<State>,
-    pool: Arc<WorkerPool>,
-    max_connections: usize,
-) -> std::io::Result<ServerHandle> {
-    let addr = state.addr;
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let pool = Arc::clone(&pool);
-        let connections = Arc::clone(&connections);
-        std::thread::Builder::new()
-            .name("folearn-acceptor".to_string())
-            .spawn(move || {
-                for incoming in listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = incoming else { continue };
-                    // Reap finished handles before admitting anyone: the
-                    // tracked set stays bounded by the live connections,
-                    // not by the daemon's lifetime total.
-                    let admitted = {
-                        let mut conns = connections.lock();
-                        conns.retain(|h| !h.is_finished());
-                        conns.len() < max_connections
-                    };
-                    if !admitted {
-                        state.metrics.record_rejected_connection();
-                        let _ = framing::write_response(
-                            &mut stream,
-                            &Response::Bye {
-                                reason: "connection limit".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    state.metrics.record_connection();
-                    let conn_state = Arc::clone(&state);
-                    let conn_pool = Arc::clone(&pool);
-                    // Keep a reply handle: if the spawn below fails
-                    // (thread limit, OOM) the stream has been moved
-                    // into the dropped closure, and this clone is what
-                    // lets the daemon degrade with an error reply
-                    // instead of panicking.
-                    let reply = stream.try_clone().ok();
-                    let spawned = std::thread::Builder::new()
-                        .name("folearn-conn".to_string())
-                        .spawn(move || serve_connection(&conn_state, &conn_pool, stream));
-                    match spawned {
-                        Ok(handle) => connections.lock().push(handle),
-                        Err(_) => {
-                            state.metrics.record_rejected_connection();
-                            if let Some(mut s) = reply {
-                                let _ = framing::write_response(
-                                    &mut s,
-                                    &Response::error(
-                                        "server overloaded: cannot spawn connection thread",
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            })?
-    };
-
-    Ok(ServerHandle {
-        addr,
-        state,
-        acceptor: Some(acceptor),
-        core: CoreHandles::Threaded { connections, pool },
-    })
-}
-
-/// The nonblocking event core: readiness shards plus a round-robin
-/// acceptor that only counts and hands off.
-fn start_event(
-    config: &ServerConfig,
-    listener: TcpListener,
-    state: Arc<State>,
-    pool: Arc<WorkerPool>,
-    max_connections: usize,
-) -> std::io::Result<ServerHandle> {
-    let addr = state.addr;
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let num_loops = if config.event_loops == 0 {
-        cores.min(4)
-    } else {
-        config.event_loops
-    };
-    state
-        .metrics
-        .set_core_info("event", num_loops, state.cache.num_shards());
-    let opts = EventLoopOptions {
-        limits: state.limits(),
-        max_inflight_per_conn: config.max_inflight_per_conn.max(1),
-    };
-    let live = Arc::new(AtomicUsize::new(0));
-    let handler: Arc<dyn EventHandler> = Arc::new(ServerDispatch {
-        state: Arc::clone(&state),
-        pool: Arc::clone(&pool),
-    });
-
-    let mut senders = Vec::with_capacity(num_loops);
-    let mut loops = Vec::with_capacity(num_loops);
-    for i in 0..num_loops {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        senders.push(tx);
-        let handler = Arc::clone(&handler);
-        let live = Arc::clone(&live);
-        let state = Arc::clone(&state);
-        loops.push(
-            std::thread::Builder::new()
-                .name(format!("folearn-loop-{i}"))
-                .spawn(move || {
-                    event_loop::shard_loop(&rx, &handler, &opts, &state.shutdown, &live)
-                })?,
-        );
-    }
-
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let live = Arc::clone(&live);
-        std::thread::Builder::new()
-            .name("folearn-acceptor".to_string())
-            .spawn(move || {
-                let mut next = 0usize;
-                for incoming in listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = incoming else { continue };
-                    if live.load(Ordering::SeqCst) >= max_connections {
-                        state.metrics.record_rejected_connection();
-                        let _ = framing::write_response(
-                            &mut stream,
-                            &Response::Bye {
-                                reason: "connection limit".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    state.metrics.record_connection();
-                    live.fetch_add(1, Ordering::SeqCst);
-                    let shard = next % senders.len();
-                    next = next.wrapping_add(1);
-                    if let Err(back) = senders[shard].send(stream) {
-                        // The shard is gone (only plausible during
-                        // shutdown): degrade with a reply, not a panic.
-                        live.fetch_sub(1, Ordering::SeqCst);
-                        state.metrics.record_rejected_connection();
-                        let mut stream = back.0;
-                        let _ = framing::write_response(
-                            &mut stream,
-                            &Response::error("server overloaded: event loop unavailable"),
-                        );
-                    }
-                }
-            })?
-    };
-
-    Ok(ServerHandle {
-        addr,
-        state,
-        acceptor: Some(acceptor),
-        core: CoreHandles::Event { loops, live, pool },
-    })
-}
-
-fn serve_connection(state: &Arc<State>, pool: &Arc<WorkerPool>, stream: TcpStream) {
-    let limits = state.limits();
-    // The framing loop (shared with the cluster router) owns the wire;
-    // this daemon plugs in its dispatch and metrics.
-    let wants_shutdown = framing::serve_framed(
-        stream,
-        &limits,
-        &state.shutdown,
-        |req| handle_request(state, pool, req),
-        |op, us, ok| state.metrics.record_request(op, us, ok),
-        |ev| record_conn_event(state, ev),
-    );
-    if wants_shutdown {
-        state.request_shutdown();
-    }
-}
-
 fn record_conn_event(state: &State, ev: ConnEvent) {
     match ev {
+        ConnEvent::Accepted => state.metrics.record_connection(),
+        ConnEvent::Rejected => state.metrics.record_rejected_connection(),
         ConnEvent::TruncatedFrame => state.metrics.record_truncated_frame(),
         ConnEvent::OversizeClose => state.metrics.record_oversize_close(),
         ConnEvent::IdleClose => state.metrics.record_idle_close(),
@@ -671,8 +403,8 @@ fn record_conn_event(state: &State, ev: ConnEvent) {
     }
 }
 
-/// The event core's dispatcher: cheap requests answered inline on the
-/// loop thread, compute-shaped ones packaged into pool jobs that
+/// The daemon's dispatcher: cheap requests answered inline on the loop
+/// thread, compute-shaped ones packaged into pool jobs that
 /// complete the ordered response slot when they run.
 struct ServerDispatch {
     state: Arc<State>,
@@ -704,40 +436,6 @@ impl InflightGuard {
 impl Drop for InflightGuard {
     fn drop(&mut self) {
         drop(self.take_waiters());
-    }
-}
-
-impl ServerDispatch {
-    /// Package `run` into a pool job that completes `responder`,
-    /// catching panics into an error reply (the worker thread survives
-    /// either way; see the pool's own `catch_unwind` backstop).
-    fn offload(
-        &self,
-        prefix: &'static str,
-        responder: Responder,
-        run: impl FnOnce(&Arc<State>) -> Response + Send + 'static,
-    ) -> Dispatch {
-        let state = Arc::clone(&self.state);
-        let panics = self.pool.panic_cell();
-        let job: Job = Box::new(move || {
-            let response = match catch_unwind(AssertUnwindSafe(|| run(&state))) {
-                Ok(response) => response,
-                Err(payload) => {
-                    panics.fetch_add(1, Ordering::Relaxed);
-                    folearn_obs::count(folearn_obs::Counter::WorkerPanics, 1);
-                    let message = panic_message(&payload);
-                    Response::error(format!("{prefix}: worker panicked: {message}"))
-                }
-            };
-            responder.complete(response);
-        });
-        match self.pool.try_submit(job) {
-            Ok(()) => Dispatch::Accepted,
-            Err(TrySubmit::Full(job)) => Dispatch::Busy(job),
-            // Pool is shutting down: the dropped job's responder has
-            // already answered the slot with an error.
-            Err(TrySubmit::Closed) => Dispatch::Accepted,
-        }
     }
 }
 
@@ -804,8 +502,9 @@ impl EventHandler for ServerDispatch {
                         state: Arc::clone(&self.state),
                         key,
                     };
-                    self.offload("solve", responder, move |state| {
-                        let response = run_solve(state, job);
+                    let state = Arc::clone(&self.state);
+                    event_loop::offload(&self.pool, "solve", responder, move || {
+                        let response = run_solve(&state, job);
                         let waiters = guard.take_waiters();
                         if let Response::Solved(outcome) = &response {
                             for waiter in waiters {
@@ -835,9 +534,9 @@ impl EventHandler for ServerDispatch {
                     responder.complete(response);
                     Dispatch::Accepted
                 }
-                Ok(job) => {
-                    self.offload("evaluate", responder, move |_| run_evaluate(job))
-                }
+                Ok(job) => event_loop::offload(&self.pool, "evaluate", responder, move || {
+                    run_evaluate(job)
+                }),
             },
             Request::ModelCheck {
                 structure,
@@ -849,20 +548,18 @@ impl EventHandler for ServerDispatch {
                     responder.complete(response);
                     Dispatch::Accepted
                 }
-                Ok(job) => self.offload("modelcheck", responder, move |state| {
-                    run_modelcheck(state, job)
-                }),
+                Ok(job) => {
+                    let state = Arc::clone(&self.state);
+                    event_loop::offload(&self.pool, "modelcheck", responder, move || {
+                        run_modelcheck(&state, job)
+                    })
+                }
             },
         }
     }
 
     fn retry(&self, job: Job) -> Result<(), Job> {
-        match self.pool.try_submit(job) {
-            Ok(()) => Ok(()),
-            Err(TrySubmit::Full(job)) => Err(job),
-            // Dropped job: its responder answered the slot already.
-            Err(TrySubmit::Closed) => Ok(()),
-        }
+        event_loop::resubmit(&self.pool, job)
     }
 
     fn observe(&self, op: &'static str, us: u64, ok: bool) {
@@ -875,74 +572,6 @@ impl EventHandler for ServerDispatch {
 
     fn wants_shutdown(&self) {
         self.state.request_shutdown();
-    }
-}
-
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
-}
-
-/// The threaded core's dispatcher (blocking: compute requests submit to
-/// the pool and wait for the reply on the connection thread).
-fn handle_request(state: &Arc<State>, pool: &Arc<WorkerPool>, req: Request) -> Response {
-    match req {
-        Request::Ping => Response::Pong,
-        Request::Shutdown => Response::Bye {
-            reason: "shutdown".to_string(),
-        },
-        Request::Stats => handle_stats(state, pool),
-        Request::Inventory => handle_inventory(state),
-        Request::Register { graph_text } => handle_register(state, &graph_text),
-        Request::Solve {
-            structure,
-            examples,
-            ell,
-            q,
-            epsilon,
-            solver,
-            trace,
-        } => match plan_solve(state, structure, &examples, ell, q, epsilon, &solver, trace, true) {
-            Err(response) => response,
-            Ok(job) => {
-                state.metrics.record_cache_event(false);
-                let state = Arc::clone(state);
-                match on_pool(pool, move || run_solve(&state, job)) {
-                    Ok(response) => response,
-                    Err(e) => Response::error(format!("solve: {e}")),
-                }
-            }
-        },
-        Request::Evaluate {
-            structure,
-            hypothesis,
-            tuples,
-            labels,
-        } => match plan_evaluate(state, structure, hypothesis, tuples, labels) {
-            Err(response) => response,
-            Ok(job) => match on_pool(pool, move || run_evaluate(job)) {
-                Ok(response) => response,
-                Err(e) => Response::error(format!("evaluate: {e}")),
-            },
-        },
-        Request::ModelCheck {
-            structure,
-            formula,
-            engine,
-            trace,
-        } => match plan_modelcheck(state, structure, &formula, engine, trace) {
-            Err(response) => response,
-            Ok(job) => {
-                let state = Arc::clone(state);
-                match on_pool(pool, move || run_modelcheck(&state, job)) {
-                    Ok(response) => response,
-                    Err(e) => Response::error(format!("modelcheck: {e}")),
-                }
-            }
-        },
     }
 }
 
@@ -1004,39 +633,6 @@ fn handle_inventory(state: &Arc<State>) -> Response {
     }
 }
 
-/// Run `job` on the worker pool and block for its reply. A panicking
-/// job is caught *inside* the submitted closure so the panic message
-/// can ride back to the caller as an error string (the worker-loop
-/// `catch_unwind` is the backstop for jobs submitted without a reply
-/// channel); the worker thread survives either way.
-fn on_pool<T: Send + 'static>(
-    pool: &Arc<WorkerPool>,
-    job: impl FnOnce() -> T + Send + 'static,
-) -> Result<T, String> {
-    let (tx, rx) = mpsc::channel();
-    let panics = pool.panic_cell();
-    let submitted = pool.submit(Box::new(move || {
-        match catch_unwind(AssertUnwindSafe(job)) {
-            Ok(value) => {
-                let _ = tx.send(Ok(value));
-            }
-            Err(payload) => {
-                panics.fetch_add(1, Ordering::Relaxed);
-                folearn_obs::count(folearn_obs::Counter::WorkerPanics, 1);
-                let message = panic_message(&payload);
-                let _ = tx.send(Err(format!("worker panicked: {message}")));
-            }
-        }
-    }));
-    if !submitted {
-        return Err("server is shutting down".to_string());
-    }
-    match rx.recv() {
-        Ok(result) => result,
-        Err(_) => Err("worker failed".to_string()),
-    }
-}
-
 /// Stamp a cache-replayed trace with `replayed: true` and the age of
 /// the original capture, so a rendered trace makes replays
 /// unmistakable. A trace that fails to parse rides through untouched.
@@ -1064,7 +660,6 @@ struct SolveJob {
     q: usize,
     epsilon: f64,
     rust_solver: Solver,
-    engine: EvalEngine,
     structure: u64,
     cache_key: (u64, u64, u64),
     trace_ctx: Option<TraceContext>,
@@ -1164,31 +759,24 @@ fn plan_solve(
             return Err(Response::Solved(outcome));
         }
     }
-    // The miss is recorded by the caller: the event core first checks
+    // The miss is recorded by the caller: the dispatcher first checks
     // the in-flight table, where a coalesced duplicate still counts as
     // a hit.
 
-    let (rust_solver, engine) = match solver {
+    let rust_solver = match solver {
         SolverSpec::Brute {
             mode,
             threads,
             prune,
-            engine,
-        } => (
-            Solver::BruteForce {
-                mode: *mode,
-                opts: BruteForceOpts {
-                    threads: *threads,
-                    prune: *prune,
-                    block_size: None,
-                },
+        } => Solver::BruteForce {
+            mode: *mode,
+            opts: BruteForceOpts {
+                threads: *threads,
+                prune: *prune,
+                block_size: None,
             },
-            *engine,
-        ),
-        SolverSpec::Nd => (
-            Solver::NowhereDense(NdConfig::default()),
-            EvalEngine::TreeWalk,
-        ),
+        },
+        SolverSpec::Nd => Solver::NowhereDense(NdConfig::default()),
     };
     let seq = TrainingSequence::from_pairs(
         examples
@@ -1205,7 +793,6 @@ fn plan_solve(
         q,
         epsilon,
         rust_solver,
-        engine,
         structure,
         cache_key,
         trace_ctx,
@@ -1228,7 +815,7 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
         folearn_obs::meta("parent", Json::str(hex64(ctx.parent)));
     }
     let inst = ErmInstance::new(&job.g, job.seq, job.k, job.ell, job.q, job.epsilon);
-    let report = solve_fo_erm_with_engine(&inst, &job.rust_solver, &job.arena, job.engine);
+    let report = solve_fo_erm(&inst, &job.rust_solver, &job.arena);
     let id = state.next_hypothesis.fetch_add(1, Ordering::SeqCst);
     let h = &report.hypothesis;
     // Canonical keys make the hypothesis recognisable across
@@ -1279,9 +866,6 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
     let outcome = SolveOutcome {
         cached: false,
         error: report.error,
-        work: report.work,
-        evaluated: report.evaluated_params,
-        pruned: report.pruned_params,
         solver: report.solver_name.to_string(),
         hypothesis: wire,
         trace,
@@ -1433,35 +1017,5 @@ fn run_modelcheck(state: &Arc<State>, job: McJob) -> Response {
     Response::Truth {
         holds,
         provenance: None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn on_pool_surfaces_panics_as_errors_and_the_pool_survives() {
-        let pool = Arc::new(WorkerPool::new(1, 4));
-        let err = on_pool::<()>(&pool, || panic!("boom at level {}", 3)).unwrap_err();
-        assert!(err.starts_with("worker panicked"), "{err:?}");
-        assert!(err.contains("boom at level 3"), "{err:?}");
-        assert_eq!(pool.panic_count(), 1);
-        assert_eq!(pool.num_workers(), 1);
-        // The single worker survived and still serves (a handler would
-        // turn the Err above into a `Response::Error` for the client).
-        assert_eq!(on_pool(&pool, || 6 * 7).unwrap(), 42);
-    }
-
-    #[test]
-    fn core_mode_parses_both_spellings() {
-        assert_eq!("thread".parse::<CoreMode>().unwrap(), CoreMode::Threaded);
-        assert_eq!("threaded".parse::<CoreMode>().unwrap(), CoreMode::Threaded);
-        assert_eq!("event".parse::<CoreMode>().unwrap(), CoreMode::EventLoop);
-        assert_eq!(
-            "event-loop".parse::<CoreMode>().unwrap(),
-            CoreMode::EventLoop
-        );
-        assert!("epoll".parse::<CoreMode>().is_err());
     }
 }

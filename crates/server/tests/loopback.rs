@@ -47,7 +47,6 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
         .expect("cold solve");
     assert!(!cold.cached);
     assert_eq!(cold.error, 0.0, "Red(x0) realises the sample");
-    assert!(cold.evaluated > 0);
 
     let warm = client
         .solve(structure, sample(), 1, 1, 0.0, SolverSpec::default_brute())
@@ -55,7 +54,6 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
     assert!(warm.cached, "identical solve is served from cache");
     // The cached outcome is the stored one, bit for bit.
     assert_eq!(warm.error, cold.error);
-    assert_eq!(warm.work, cold.work);
     assert_eq!(warm.hypothesis.id, cold.hypothesis.id);
     assert_eq!(warm.hypothesis.params, cold.hypothesis.params);
     assert_eq!(warm.hypothesis.types, cold.hypothesis.types);
@@ -99,7 +97,6 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
                 mode: folearn::TypeMode::Global,
                 threads: Some(1),
                 prune: false,
-                engine: folearn_logic::vm::EvalEngine::TreeWalk,
             },
         )
         .expect("different-config solve");
@@ -124,23 +121,24 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
         .modelcheck(structure, "forall x0. Red(x0)")
         .expect("modelcheck unsat"));
 
-    // The VM engine is part of the cache key, answers identically, and
-    // its work counters surface in the stats snapshot below.
-    let mut vm_spec = SolverSpec::default_brute();
-    if let SolverSpec::Brute { engine, .. } = &mut vm_spec {
-        *engine = EvalEngine::Vm;
-    }
-    let vm_solve = client
-        .solve(structure, sample(), 1, 1, 0.0, vm_spec)
-        .expect("vm solve");
-    assert!(!vm_solve.cached, "engine selection is a distinct cache key");
-    assert_eq!(vm_solve.error, cold.error);
-    assert_eq!(vm_solve.hypothesis.types, cold.hypothesis.types);
+    // The VM engine answers model checks, and its work counters surface
+    // in the stats snapshot below.
     assert!(client
         .modelcheck_with_engine(structure, "exists x0. Red(x0)", EvalEngine::Vm)
         .expect("vm modelcheck"));
 
     let stats = client.stats().expect("stats");
+    // Sweep work stays off the (cacheable) wire reply and is counted
+    // here instead.
+    let solver = stats.get("solver").expect("solver block");
+    assert!(
+        solver
+            .get("evaluated_params")
+            .and_then(Json::as_num)
+            .unwrap_or(0.0)
+            > 0.0,
+        "sweep work reaches the stats counter: {solver:?}"
+    );
     let cache = stats.get("cache").expect("cache block");
     assert!(
         cache.get("hit_rate").unwrap().as_num().unwrap() > 0.0,
@@ -175,17 +173,7 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
             > 0.0,
         "sweep work counters aggregate into the snapshot"
     );
-    // VM cross-validation and VM model checks flush vm_* counters into
-    // their enclosing spans.
-    assert!(
-        spans
-            .get("solve")
-            .and_then(|s| s.get("vm_instructions"))
-            .and_then(Json::as_num)
-            .unwrap_or(0.0)
-            > 0.0,
-        "VM counters aggregate under the solve span: {spans:?}"
-    );
+    // VM model checks flush vm_* counters into their enclosing span.
     assert!(
         spans
             .get("server.modelcheck")
@@ -255,7 +243,6 @@ fn errors_are_protocol_replies_not_disconnects() {
                 mode: folearn::TypeMode::Global,
                 threads: Some(100_000),
                 prune: true,
-                engine: folearn_logic::vm::EvalEngine::TreeWalk,
             },
         )
         .expect_err("too many threads");
@@ -478,56 +465,52 @@ fn connection_cap_turns_new_connections_away() {
 
 #[test]
 fn flood_past_the_cap_is_rejected_gracefully_and_the_daemon_survives() {
-    // The crash this PR fixes: a connection flood used to hit
-    // `.expect("spawn connection thread")` (threaded core) or pile up
-    // unboundedly. Now every connection past the cap gets one `bye` and
-    // a close, the flood is counted, and the daemon keeps serving.
-    for core in [folearn_server::CoreMode::EventLoop, folearn_server::CoreMode::Threaded] {
-        let config = ServerConfig {
-            max_connections: 8,
-            core,
-            ..ServerConfig::default()
-        };
-        let handle = start(&config).expect("server starts");
-        let addr = handle.addr();
-        // Hold the cap's worth of live connections...
-        let held: Vec<Client> = (0..8)
-            .map(|i| {
-                let mut c = Client::connect(addr).unwrap_or_else(|e| panic!("held conn {i}: {e}"));
-                c.ping().expect("held conn serves");
-                c
-            })
-            .collect();
-        // ...then flood well past it. Every extra connection must be
-        // answered (bye) — never ignored, never a daemon panic.
-        let mut rejected = 0usize;
-        for _ in 0..60 {
-            let s = TcpStream::connect(addr).expect("tcp connect");
-            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            match read_reply(s) {
-                Response::Bye { reason } => {
-                    assert_eq!(reason, "connection limit");
-                    rejected += 1;
-                }
-                other => panic!("expected bye, got {other:?}"),
+    // A connection flood must never take the daemon down or pile up
+    // unboundedly: every connection past the cap gets one `bye` and a
+    // close, the flood is counted, and the daemon keeps serving.
+    let config = ServerConfig {
+        max_connections: 8,
+        ..ServerConfig::default()
+    };
+    let handle = start(&config).expect("server starts");
+    let addr = handle.addr();
+    // Hold the cap's worth of live connections...
+    let held: Vec<Client> = (0..8)
+        .map(|i| {
+            let mut c = Client::connect(addr).unwrap_or_else(|e| panic!("held conn {i}: {e}"));
+            c.ping().expect("held conn serves");
+            c
+        })
+        .collect();
+    // ...then flood well past it. Every extra connection must be
+    // answered (bye) — never ignored, never a daemon panic.
+    let mut rejected = 0usize;
+    for _ in 0..60 {
+        let s = TcpStream::connect(addr).expect("tcp connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        match read_reply(s) {
+            Response::Bye { reason } => {
+                assert_eq!(reason, "connection limit");
+                rejected += 1;
             }
+            other => panic!("expected bye, got {other:?}"),
         }
-        assert_eq!(rejected, 60, "every flooded connection was answered");
-        // The held connections still serve, and the flood is visible in
-        // the stats.
-        let mut held = held;
-        for c in &mut held {
-            c.ping().expect("survivors still served");
-        }
-        let stats = held[0].stats().expect("stats");
-        let rejected_stat = stats
-            .get("rejected_connections")
-            .and_then(Json::as_usize)
-            .expect("rejected_connections gauge");
-        assert!(rejected_stat >= 60, "counted {rejected_stat}");
-        drop(held);
-        handle.shutdown();
     }
+    assert_eq!(rejected, 60, "every flooded connection was answered");
+    // The held connections still serve, and the flood is visible in
+    // the stats.
+    let mut held = held;
+    for c in &mut held {
+        c.ping().expect("survivors still served");
+    }
+    let stats = held[0].stats().expect("stats");
+    let rejected_stat = stats
+        .get("rejected_connections")
+        .and_then(Json::as_usize)
+        .expect("rejected_connections gauge");
+    assert!(rejected_stat >= 60, "counted {rejected_stat}");
+    drop(held);
+    handle.shutdown();
 }
 
 #[test]
@@ -535,29 +518,26 @@ fn slow_writer_is_served_not_idle_closed() {
     // Satellite fix: the idle clock must count partial bytes of an
     // in-progress frame as activity. A peer trickling one legitimate
     // frame slower than the idle timeout is slow, not idle.
-    for core in [folearn_server::CoreMode::EventLoop, folearn_server::CoreMode::Threaded] {
-        let config = ServerConfig {
-            idle_timeout: Duration::from_millis(300),
-            core,
-            ..ServerConfig::default()
-        };
-        let handle = start(&config).expect("server starts");
-        let mut s = TcpStream::connect(handle.addr()).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        s.set_nodelay(true).unwrap();
-        let frame = format!("{}\n", Request::Ping.encode());
-        // Drip the frame over ~1s — more than 3× the idle timeout — in
-        // chunks spaced under the timeout.
-        for chunk in frame.as_bytes().chunks(2) {
-            s.write_all(chunk).expect("slow write");
-            std::thread::sleep(Duration::from_millis(150));
-        }
-        match read_reply(s) {
-            Response::Pong => {}
-            other => panic!("slow writer must be served, got {other:?}"),
-        }
-        handle.shutdown();
+    let config = ServerConfig {
+        idle_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let handle = start(&config).expect("server starts");
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.set_nodelay(true).unwrap();
+    let frame = format!("{}\n", Request::Ping.encode());
+    // Drip the frame over ~1s — more than 3× the idle timeout — in
+    // chunks spaced under the timeout.
+    for chunk in frame.as_bytes().chunks(2) {
+        s.write_all(chunk).expect("slow write");
+        std::thread::sleep(Duration::from_millis(150));
     }
+    match read_reply(s) {
+        Response::Pong => {}
+        other => panic!("slow writer must be served, got {other:?}"),
+    }
+    handle.shutdown();
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Property test for the event core's pipelining: a burst of valid
 //! requests written as one pipelined blob must yield byte-identical
 //! replies, in order, to the same requests issued strictly
-//! request/reply — and the baseline runs on the *threaded* core, so
-//! each case also proves the two service cores agree on the wire.
+//! request/reply to a second, identically prepared daemon — so replies
+//! are a pure function of the request, whatever the schedule.
 //!
 //! Determinism notes baked into the harness: both daemons run one pool
 //! worker (so compute jobs execute in submission order and hypothesis
@@ -12,14 +12,17 @@
 //! before its twin's result reaches the cache coalesces onto the
 //! in-flight job and is replayed as a cache hit — exactly what the
 //! sequential schedule sees. Warm solves pin the pre-cached path too.
+//! A solve item's `vm` bit sends the frame the way an older peer did,
+//! with the retired `"engine":"vm"` field in its solver spec, which
+//! must not change the reply.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use folearn_logic::vm::EvalEngine;
-use folearn_server::proto::{Request, SolverSpec, WireExample};
-use folearn_server::{start, Client, ClientApi, CoreMode, ServerConfig, ServerHandle};
+use folearn_server::proto::{Json, Request, SolverSpec, WireExample};
+use folearn_server::{start, Client, ClientApi, ServerConfig, ServerHandle};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -40,13 +43,28 @@ fn sample_pool() -> Vec<Vec<WireExample>> {
         .collect()
 }
 
-fn brute(engine: EvalEngine) -> SolverSpec {
+fn brute() -> SolverSpec {
     SolverSpec::Brute {
         mode: folearn::fit::TypeMode::Global,
         threads: None,
         prune: true,
-        engine,
     }
+}
+
+/// Encode a solve; with `legacy_vm`, add the retired `engine` field to
+/// its solver spec as an older peer would.
+fn encode_solve(req: &Request, legacy_vm: bool) -> String {
+    let mut json = req.to_json();
+    if legacy_vm {
+        if let Json::Obj(pairs) = &mut json {
+            for (key, value) in pairs.iter_mut() {
+                if let (true, Json::Obj(spec)) = (key == "solver", value) {
+                    spec.push(("engine".to_string(), Json::str("vm")));
+                }
+            }
+        }
+    }
+    json.render()
 }
 
 fn engine_of(bit: bool) -> EvalEngine {
@@ -107,26 +125,30 @@ fn encode_burst(items: &[Item], structure: u64) -> Vec<String> {
         .iter()
         .map(|item| match item {
             Item::Ping => Request::Ping.encode(),
-            Item::WarmSolve { sample, vm } => Request::Solve {
-                structure,
-                examples: pool[*sample].clone(),
-                ell: 1,
-                q: 1,
-                epsilon: 0.0,
-                solver: brute(engine_of(*vm)),
-                trace: None,
-            }
-            .encode(),
-            Item::FreshSolve { sample, slot, vm } => Request::Solve {
-                structure,
-                examples: pool[*sample].clone(),
-                ell: 1,
-                q: 1,
-                epsilon: (*slot as f64 + 1.0) * 1e-9,
-                solver: brute(engine_of(*vm)),
-                trace: None,
-            }
-            .encode(),
+            Item::WarmSolve { sample, vm } => encode_solve(
+                &Request::Solve {
+                    structure,
+                    examples: pool[*sample].clone(),
+                    ell: 1,
+                    q: 1,
+                    epsilon: 0.0,
+                    solver: brute(),
+                    trace: None,
+                },
+                *vm,
+            ),
+            Item::FreshSolve { sample, slot, vm } => encode_solve(
+                &Request::Solve {
+                    structure,
+                    examples: pool[*sample].clone(),
+                    ell: 1,
+                    q: 1,
+                    epsilon: (*slot as f64 + 1.0) * 1e-9,
+                    solver: brute(),
+                    trace: None,
+                },
+                *vm,
+            ),
             Item::ModelCheck { formula, vm } => Request::ModelCheck {
                 structure,
                 formula: FORMULAS[*formula].to_string(),
@@ -138,24 +160,21 @@ fn encode_burst(items: &[Item], structure: u64) -> Vec<String> {
         .collect()
 }
 
-/// Start a daemon, register the graph, and warm every (sample, engine)
-/// solve the burst can repeat. Returns the handle and structure hash.
-fn prepared_daemon(core: CoreMode) -> (ServerHandle, u64) {
+/// Start a daemon, register the graph, and warm every solve of the
+/// pool the burst can repeat. Returns the handle and structure hash.
+fn prepared_daemon() -> (ServerHandle, u64) {
     let handle = start(&ServerConfig {
         workers: 1,
         trace: false,
-        core,
         ..ServerConfig::default()
     })
     .expect("daemon starts");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let structure = client.register(GRAPH).expect("register");
     for sample in sample_pool() {
-        for vm in [false, true] {
-            client
-                .solve(structure, sample.clone(), 1, 1, 0.0, brute(engine_of(vm)))
-                .expect("warm solve");
-        }
+        client
+            .solve(structure, sample, 1, 1, 0.0, brute())
+            .expect("warm solve");
     }
     (handle, structure)
 }
@@ -166,11 +185,10 @@ proptest! {
     fn pipelined_burst_replies_match_sequential_request_reply(
         items in collection::vec(item_strategy(), 1..12)
     ) {
-        // Pipelined schedule on the event core: one write, N ordered
-        // replies.
-        let (event, structure) = prepared_daemon(CoreMode::EventLoop);
+        // Pipelined schedule: one write, N ordered replies.
+        let (pipelined_daemon, structure) = prepared_daemon();
         let lines = encode_burst(&items, structure);
-        let mut stream = TcpStream::connect(event.addr()).expect("connect");
+        let mut stream = TcpStream::connect(pipelined_daemon.addr()).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let blob: String = lines.iter().map(|l| format!("{l}\n")).collect();
         stream.write_all(blob.as_bytes()).expect("burst write");
@@ -182,13 +200,13 @@ proptest! {
             pipelined.push(line);
         }
         drop(reader);
-        event.shutdown();
+        pipelined_daemon.shutdown();
 
-        // Sequential schedule on the threaded core: same requests, one
-        // at a time.
-        let (threaded, structure2) = prepared_daemon(CoreMode::Threaded);
+        // Sequential schedule on a second daemon: same requests, one at
+        // a time.
+        let (reference, structure2) = prepared_daemon();
         prop_assert_eq!(structure, structure2, "content hash is canonical");
-        let mut stream = TcpStream::connect(threaded.addr()).expect("connect");
+        let mut stream = TcpStream::connect(reference.addr()).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut sequential = Vec::with_capacity(lines.len());
@@ -200,7 +218,7 @@ proptest! {
         }
         drop(reader);
         drop(stream);
-        threaded.shutdown();
+        reference.shutdown();
 
         for (i, (p, s)) in pipelined.iter().zip(&sequential).enumerate() {
             prop_assert_eq!(p, s, "reply {} diverged for {:?}", i, items[i]);

@@ -42,37 +42,28 @@ fn examples_strategy() -> impl Strategy<Value = Vec<WireExample>> {
 }
 
 fn solver_strategy() -> impl Strategy<Value = SolverSpec> {
-    (0usize..5, 1usize..4, 1u32..4, 0u32..4).prop_map(|(kind, r, cap, p)| {
-        let engine = if p & 2 == 2 {
-            EvalEngine::Vm
-        } else {
-            EvalEngine::TreeWalk
-        };
+    (0usize..5, 1usize..4, 1u32..4, 0u32..2).prop_map(|(kind, r, cap, p)| {
         match kind {
             0 => SolverSpec::Nd,
             1 => SolverSpec::Brute {
                 mode: TypeMode::Global,
                 threads: None,
                 prune: p & 1 == 1,
-                engine,
             },
             2 => SolverSpec::Brute {
                 mode: TypeMode::Local { r },
                 threads: Some(r),
                 prune: p & 1 == 1,
-                engine,
             },
             3 => SolverSpec::Brute {
                 mode: TypeMode::GlobalCounting { cap },
                 threads: Some(0),
                 prune: p & 1 == 1,
-                engine,
             },
             _ => SolverSpec::Brute {
                 mode: TypeMode::LocalCounting { r, cap },
                 threads: Some(17),
                 prune: p & 1 == 1,
-                engine,
             },
         }
     })
@@ -208,9 +199,6 @@ proptest! {
     fn solved_round_trips(
         cached in 0u32..2,
         err_mil in 0u32..=1000,
-        work in 0usize..100000,
-        evaluated in 0usize..100000,
-        pruned in 0usize..100000,
         solver in nasty_string(),
         id in 0u64..=u64::MAX,
         params in collection::vec(0u32..100, 0..4),
@@ -249,9 +237,6 @@ proptest! {
         assert_response_round_trip(&Response::Solved(SolveOutcome {
             cached: cached == 1,
             error: f64::from(err_mil) / 1000.0,
-            work,
-            evaluated,
-            pruned,
             solver,
             hypothesis: WireHypothesis { id, params, q, mode, types, type_keys, describe },
             trace,

@@ -10,7 +10,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use folearn::TypeMode;
-use folearn_logic::vm::EvalEngine;
 use folearn_server::proto::{Request, SolverSpec, WireExample};
 use folearn_server::snapshot::{DurableRecord, Durability, WAL_FILE};
 use folearn_server::wal::HEADER_LEN;
@@ -98,7 +97,6 @@ fn record_strategy() -> impl Strategy<Value = DurableRecord> {
                             mode: TypeMode::Local { r: 2 },
                             threads: Some(1),
                             prune: true,
-                            engine: EvalEngine::Vm,
                         }
                     },
                     trace: None,

@@ -6,12 +6,12 @@
 //! Subcommands:
 //!
 //! * `learn      --graph G.txt --examples E.txt [--ell N] [--q N] [--solver brute|nd|local] [--mode global|local=R|counting=CAP] [--threads N] [--prune on|off] [--trace-out T.jsonl] [--trace-summary on|off]`
-//! * `modelcheck --graph G.txt --formula "<sentence>"`
+//! * `modelcheck --graph G.txt --formula "<sentence>" [--engine tree|vm]`
 //! * `splitter   --graph G.txt [--radius R]`
 //! * `types      --graph G.txt [--q N] [--k N]`
 //! * `dot        --graph G.txt`
 //! * `trace      --file T.jsonl`
-//! * `serve      [--addr H:P] [--data-dir DIR] [--snapshot-every N] [--core thread|event] [--loops N] [--inflight N] [--cache-shards N] [--workers N] [--queue N] [--cache N] [--max-requests N] [--max-line BYTES] [--idle-ms N] [--max-conns N] [--addr-file PATH] [--trace on|off]`
+//! * `serve      [--addr H:P] [--data-dir DIR] [--snapshot-every N] [--cache-shards N] [--workers N] [--queue N] [--cache N] [--max-requests N] [--max-line BYTES] [--idle-ms N] [--max-conns N] [--addr-file PATH] [--trace on|off]`
 //! * `route      --backends H:P,H:P,… [--replicas R] [--hedge-ms N] [--repair-ms N] [--vnodes N] [--eject-after N] [--addr H:P] [--addr-file PATH] [--timeout-ms N] [--retries N] [--retry-seed N] [--trace on|off]`
 //! * `client     --addr H:P --action ping|register|solve|evaluate|modelcheck|stats|shutdown [--timeout-ms N] [--retries N] [--retry-seed N] [--trace-out T.jsonl] …`
 //! * `loadgen    --addr H:P[,H:P…] --graph G.txt [--connections N] [--requests N] [--pipeline N] [--seed N] [--pool N] [--timeout-ms N] [--retries N] [--retry-seed N]`
@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use folearn::bruteforce::BruteForceOpts;
 use folearn::ndlearner::NdConfig;
 use folearn::problem::{ErmInstance, Example, TrainingSequence};
-use folearn::{shared_arena, solve_fo_erm_with_engine, Solver, TypeMode};
+use folearn::{shared_arena, solve_fo_erm, Solver, TypeMode};
 use folearn_graph::splitter::{play_game, GraphClass, MaxBallConnector};
 use folearn_graph::{io, Graph, V};
 use folearn_logic::vm::EvalEngine;
@@ -218,6 +218,7 @@ fn cmd_learn(opts: &Options) -> Result<String, CliError> {
         .map_err(|e| err(format!("cannot read {examples_path}: {e}")))?;
     let examples = parse_examples(&text, &g)?;
     let k = examples.arity();
+    no_solve_engine(opts)?;
     let ell = opts.get_usize("ell", 0)?;
     let q = opts.get_usize("q", 1)?;
     let mode = parse_mode(opts.get("mode").unwrap_or("global"))?;
@@ -246,10 +247,9 @@ fn cmd_learn(opts: &Options) -> Result<String, CliError> {
         // holds exactly this run.
         let _ = folearn_obs::take_thread_roots();
     }
-    let engine = parse_engine(opts)?;
     let inst = ErmInstance::new(&g, examples, k, ell, q, 0.1);
     let arena = shared_arena(&g);
-    let report = solve_fo_erm_with_engine(&inst, &solver, &arena, engine);
+    let report = solve_fo_erm(&inst, &solver, &arena);
     let roots = if tracing {
         folearn_obs::take_thread_roots()
     } else {
@@ -376,13 +376,6 @@ fn cmd_serve(opts: &Options) -> Result<String, CliError> {
             opts.get_usize("idle-ms", defaults.idle_timeout.as_millis() as usize)? as u64,
         ),
         max_connections: opts.get_usize("max-conns", defaults.max_connections)?,
-        core: opts
-            .get("core")
-            .unwrap_or("event")
-            .parse()
-            .map_err(err)?,
-        event_loops: opts.get_usize("loops", defaults.event_loops)?,
-        max_inflight_per_conn: opts.get_usize("inflight", defaults.max_inflight_per_conn)?,
         cache_shards: opts.get_usize("cache-shards", defaults.cache_shards)?,
         data_dir: opts.get("data-dir").map(std::path::PathBuf::from),
         snapshot_every: opts.get_usize("snapshot-every", defaults.snapshot_every)?,
@@ -489,15 +482,26 @@ fn parse_engine(opts: &Options) -> Result<EvalEngine, CliError> {
         .map_err(|e: String| err(format!("--engine: {e}")))
 }
 
-/// Build the wire solver spec from
-/// `--solver/--mode/--threads/--prune/--engine`.
+/// Refuse `--engine` on a solve: it selects the model checker's
+/// evaluator, and solving tallies types without evaluating a formula,
+/// so accepting it would silently do nothing.
+fn no_solve_engine(opts: &Options) -> Result<(), CliError> {
+    match opts.get("engine") {
+        None => Ok(()),
+        Some(_) => Err(err(
+            "--engine applies to modelcheck only (solving tallies types and evaluates no formula)",
+        )),
+    }
+}
+
+/// Build the wire solver spec from `--solver/--mode/--threads/--prune`.
 fn parse_solver_spec(opts: &Options) -> Result<SolverSpec, CliError> {
+    no_solve_engine(opts)?;
     match opts.get("solver").unwrap_or("brute") {
         "brute" => Ok(SolverSpec::Brute {
             mode: parse_mode(opts.get("mode").unwrap_or("global"))?,
             threads: parse_threads(opts)?,
             prune: parse_on_off(opts.get("prune").unwrap_or("on"), "prune")?,
-            engine: parse_engine(opts)?,
         }),
         "nd" => Ok(SolverSpec::Nd),
         other => Err(err(format!(
@@ -599,11 +603,6 @@ fn cmd_client(opts: &Options) -> Result<String, CliError> {
                 if outcome.cached { "yes" } else { "no" }
             );
             let _ = writeln!(out, "training error:  {:.4}", outcome.error);
-            let _ = writeln!(
-                out,
-                "work units:      {} ({} evaluated, {} pruned)",
-                outcome.work, outcome.evaluated, outcome.pruned
-            );
             let _ = writeln!(out, "hypothesis id:   {}", hex64(outcome.hypothesis.id));
             let _ = writeln!(out, "hypothesis:      {}", outcome.hypothesis.describe);
             if let Some(path) = opts.get("trace-out") {
@@ -1067,12 +1066,10 @@ mod tests {
         assert!(out.contains("\"pruned_params\": 0"), "{out}");
         assert!(run("learn", &base(&["--prune", "maybe"])).is_err());
         assert!(run("learn", &base(&["--threads", "two"])).is_err());
-        // The VM engine reproduces the tree-walker's report exactly (the
-        // cross-validation inside the solve would panic otherwise).
-        let tree = run("learn", &base(&["--engine", "tree"])).unwrap();
-        let vm = run("learn", &base(&["--engine", "vm"])).unwrap();
-        assert_eq!(tree, vm);
-        assert!(run("learn", &base(&["--engine", "warp"])).is_err());
+        // `--engine` belongs to modelcheck: a solve refuses it by name
+        // instead of ignoring it.
+        let e = run("learn", &base(&["--engine", "vm"])).unwrap_err();
+        assert!(e.0.contains("--engine applies to modelcheck only"), "{e}");
     }
 
     #[test]
