@@ -22,12 +22,20 @@
 //!
 //! Colour names are resolved against a [`Vocabulary`]; the reserved names
 //! `E`, `true`, `false`, `exists`, `forall` cannot be colours.
+//!
+//! The parser recurses at `(`, `!`, each quantifier and each right-nested
+//! `->`; past [`MAX_DEPTH`] such nestings it refuses the input with a
+//! located [`ParseError`] instead of growing the stack without bound.
 
 use std::fmt;
 
 use folearn_graph::Vocabulary;
 
 use crate::formula::{Formula, Var};
+
+/// Deepest nesting of `(`, `!`, quantifiers and right-nested `->` the
+/// parser accepts.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parse error with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +70,7 @@ pub fn parse(input: &str, vocab: &Vocabulary) -> Result<Formula, ParseError> {
         input,
         pos: 0,
         vocab,
+        depth: 0,
     };
     p.skip_ws();
     let phi = p.formula()?;
@@ -90,6 +99,8 @@ struct Parser<'a> {
     input: &'a str,
     pos: usize,
     vocab: &'a Vocabulary,
+    /// Nestings open at the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -98,6 +109,20 @@ impl<'a> Parser<'a> {
             at: self.pos,
             message: msg.into(),
         }
+    }
+
+    /// Run `inner` one nesting deeper, refusing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("formula nests deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
     }
 
     fn rest(&self) -> &'a str {
@@ -154,7 +179,7 @@ impl<'a> Parser<'a> {
     fn implication(&mut self) -> Result<Formula, ParseError> {
         let lhs = self.disjunction()?;
         if self.eat("->") {
-            let rhs = self.implication()?; // right-associative
+            let rhs = self.nested(Self::implication)?; // right-associative
             Ok(lhs.implies(rhs))
         } else {
             Ok(lhs)
@@ -195,7 +220,7 @@ impl<'a> Parser<'a> {
     fn unary(&mut self) -> Result<Formula, ParseError> {
         self.skip_ws();
         if self.eat("!") {
-            return Ok(self.unary()?.not());
+            return Ok(self.nested(Self::unary)?.not());
         }
         if self.eat_word("exists") {
             // Optional counting threshold: `exists^3 x0. φ`.
@@ -220,7 +245,7 @@ impl<'a> Parser<'a> {
             if !self.eat(".") {
                 return Err(self.err("expected '.' after quantified variable"));
             }
-            let body = self.formula()?;
+            let body = self.nested(Self::formula)?;
             return Ok(match threshold {
                 Some(t) => Formula::counting_exists(t, v, body),
                 None => Formula::exists(v, body),
@@ -231,10 +256,10 @@ impl<'a> Parser<'a> {
             if !self.eat(".") {
                 return Err(self.err("expected '.' after quantified variable"));
             }
-            return Ok(Formula::forall(v, self.formula()?));
+            return Ok(Formula::forall(v, self.nested(Self::formula)?));
         }
         if self.eat("(") {
-            let inner = self.formula()?;
+            let inner = self.nested(Self::formula)?;
             if !self.eat(")") {
                 return Err(self.err("expected ')'"));
             }
@@ -453,5 +478,27 @@ mod tests {
         let v = vocab();
         let phi = parse("((Red(x0)))", &v).unwrap();
         assert_eq!(phi, Formula::Color(ColorId(0), 0));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_located_error_at_every_site() {
+        let v = vocab();
+        let bombs = [
+            ("(", ")"),
+            ("!", ""),
+            ("exists x0. ", ""),
+            ("forall x1. ", ""),
+            ("Red(x0) -> ", ""),
+        ];
+        for (open, close) in bombs {
+            let at_cap = format!("{}Red(x0){}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(parse(&at_cap, &v).is_ok(), "{open:?} x {MAX_DEPTH} parses");
+            let over = format!("{}Red(x0){}", open.repeat(5000), close.repeat(5000));
+            let e = parse(&over, &v).unwrap_err();
+            assert!(e.message.contains("nests deeper than 256"), "{e}");
+            // Located at the first nesting past the cap.
+            let cap = open.len() * MAX_DEPTH;
+            assert!(cap < e.at && e.at <= cap + open.len(), "{open:?}: {e}");
+        }
     }
 }

@@ -176,3 +176,45 @@ fn repeated_variable_atoms_under_quantifiers() {
         }
     }
 }
+
+/// A sentence nested exactly [`folearn_logic::parser::MAX_DEPTH`] deep,
+/// through every recursive site of the parser: two quantifiers, 100
+/// negations, 150 parentheses, three right-nested `->` and one more
+/// parenthesis.
+fn at_depth_cap() -> String {
+    format!(
+        "exists x0. forall x1. {}{}Red(x0) -> Blue(x1) -> Red(x1) -> (E(x0, x1) | x0 = x1){}",
+        "!".repeat(100),
+        "(".repeat(150),
+        ")".repeat(150),
+    )
+}
+
+#[test]
+fn a_formula_at_the_parse_depth_cap_agrees_on_tree_and_vm() {
+    let vocab = Vocabulary::new(["Red", "Blue"]);
+    let text = at_depth_cap();
+    let phi = folearn_logic::parse(&text, &vocab).expect("a formula at the cap parses");
+    assert!(
+        folearn_logic::parse(&format!("!{text}"), &vocab).is_err(),
+        "one more nesting is refused, so the formula sits exactly at the cap"
+    );
+    for n in 0..6u32 {
+        let mut b = GraphBuilder::with_vertices(vocab.clone(), n as usize);
+        for i in 1..n {
+            b.add_edge(V(i - 1), V(i));
+        }
+        for i in (0..n).step_by(2) {
+            b.set_color(V(i), ColorId(0));
+        }
+        if n > 1 {
+            b.set_color(V(1), ColorId(1));
+        }
+        let g = b.build();
+        assert_eq!(
+            EvalEngine::TreeWalk.models(&g, &phi),
+            EvalEngine::Vm.models(&g, &phi),
+            "path of {n}"
+        );
+    }
+}

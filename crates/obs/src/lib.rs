@@ -11,8 +11,11 @@
 //!   the probe path; workers hand finished [`SpanRecord`]s to their
 //!   coordinator, mirroring the sharded-arena merge of the parallel ERM
 //!   engine);
-//! * [`PowHistogram`] — the power-of-two histogram behind the server's
-//!   latency metrics and span-duration aggregation;
+//! * [`PowHistogram`] — the power-of-two histogram behind every
+//!   latency metric and span-duration aggregation;
+//! * [`Registry`] — the one metrics store of both daemons: endpoint
+//!   histograms, declared counters/gauges/flags, the span rollup, the
+//!   [`TimeSeries`], rendered as the `stats` payload;
 //! * [`Json`] — the shared JSON value tree (wire protocol, bench
 //!   reports, trace files);
 //! * [`export`] — JSONL and tree-summary exporters.
@@ -25,11 +28,13 @@
 pub mod export;
 pub mod hist;
 pub mod json;
+pub mod registry;
 pub mod series;
 pub mod span;
 
 pub use hist::{PowHistogram, BUCKETS};
 pub use json::{Json, JsonError};
+pub use registry::{Kind, Metric, Registry};
 pub use series::{TimeSeries, WINDOW_S};
 pub use span::{
     adopt, count, enabled, meta, set_enabled, span, take_thread_roots, Counter, CounterSet,

@@ -5,9 +5,9 @@
 //! [`PowHistogram`], cache hit/miss counts, and hedge counters for its
 //! second; a slot is lazily re-tagged (and reset) when the ring wraps
 //! onto it, so recording is O(1) and the series never allocates after
-//! construction. The server's and router's metrics each embed one
-//! behind their existing mutex and expose it through `stats` as a
-//! `series` object, which `folearn top` turns into rates.
+//! construction. Each daemon's [`crate::Registry`] embeds one behind
+//! its mutex and exposes it through `stats` as a `series` object, which
+//! `folearn top` turns into rates.
 //!
 //! Every mutating method has an `_at(sec, …)` variant taking an
 //! explicit second tag so tests are deterministic; the untagged
@@ -119,29 +119,21 @@ impl TimeSeries {
         self.record_cache_at(self.now_s(), hit);
     }
 
-    /// Record a fired hedge (and whether it won) into second `sec`.
+    /// Record a hedge fired or, with `won`, a fired hedge winning, into
+    /// second `sec` (the win lands after the fire, possibly in a later
+    /// bucket).
     pub fn record_hedge_at(&mut self, sec: u64, won: bool) {
         let b = self.slot_mut(sec);
-        b.hedges_fired += 1;
         if won {
             b.hedges_won += 1;
+        } else {
+            b.hedges_fired += 1;
         }
     }
 
-    /// Record a fired hedge into the current second.
+    /// [`Self::record_hedge_at`] the current second.
     pub fn record_hedge(&mut self, won: bool) {
         self.record_hedge_at(self.now_s(), won);
-    }
-
-    /// Mark an already-recorded hedge as won, in second `sec` (the win
-    /// lands after the fire, possibly in a later bucket).
-    pub fn record_hedge_won_at(&mut self, sec: u64) {
-        self.slot_mut(sec).hedges_won += 1;
-    }
-
-    /// Mark an already-recorded hedge as won, in the current second.
-    pub fn record_hedge_won(&mut self) {
-        self.record_hedge_won_at(self.now_s());
     }
 
     /// The live window as of second `now`: buckets with tags in
@@ -190,6 +182,7 @@ mod tests {
         s.record_request_at(5, 3000, false);
         s.record_cache_at(5, true);
         s.record_cache_at(3, false);
+        s.record_hedge_at(5, false);
         s.record_hedge_at(5, true);
         let v = s.to_json_at(6);
         let buckets = v.get("buckets").and_then(Json::as_arr).unwrap();

@@ -24,15 +24,19 @@ use std::time::Duration;
 /// selections, so a recovered node rejoins without operator action.
 pub const PROBE_PERIOD: u64 = 16;
 
-/// Health state of one backend.
+/// Health state of one backend, and the tally of its calls behind the
+/// backend's row in the router's `stats`.
 #[derive(Debug)]
 pub struct Health {
     consecutive_failures: AtomicU32,
     ejected: AtomicBool,
     /// Consecutive failures that trigger ejection.
     eject_after: u32,
-    /// Total ejection events (monotonic; feeds the `failovers` counter).
+    /// Total ejection events (monotonic; summed into `failovers`).
     ejections: AtomicU64,
+    /// Calls reported, and how many of them failed.
+    requests: AtomicU64,
+    errors: AtomicU64,
 }
 
 impl Health {
@@ -44,11 +48,14 @@ impl Health {
             ejected: AtomicBool::new(false),
             eject_after: eject_after.max(1),
             ejections: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
         }
     }
 
     /// Record a successful call: the backend is (back) in rotation.
     pub fn record_ok(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
         self.consecutive_failures.store(0, Ordering::SeqCst);
         self.ejected.store(false, Ordering::SeqCst);
     }
@@ -56,6 +63,8 @@ impl Health {
     /// Record a failed call; returns `true` if this failure ejected the
     /// backend (transition live → ejected).
     pub fn record_failure(&self) -> bool {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.errors.fetch_add(1, Ordering::Relaxed);
         let n = self.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
         if n >= self.eject_after && !self.ejected.swap(true, Ordering::SeqCst) {
             self.ejections.fetch_add(1, Ordering::SeqCst);
@@ -77,6 +86,16 @@ impl Health {
     /// Total live → ejected transitions.
     pub fn ejections(&self) -> u64 {
         self.ejections.load(Ordering::SeqCst)
+    }
+
+    /// Calls reported so far.
+    pub fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Failed calls reported so far.
+    pub fn errors(&self) -> u64 {
+        self.errors.load(Ordering::Relaxed)
     }
 }
 

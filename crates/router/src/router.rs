@@ -46,9 +46,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use folearn_graph::io;
+use folearn_obs::Registry;
 use folearn_server::client::{ClientApi, ClientConfig, ClientError, RetryPolicy, RetryingClient};
 use folearn_server::event_loop::{
-    self, ConnEvent, ConnLimits, Dispatch, EventHandler, FrontDoor, Responder,
+    self, ConnLimits, Dispatch, EventHandler, FrontDoor, Responder, FRONT_DOOR_METRICS,
 };
 use folearn_server::pool::{Job, WorkerPool};
 use folearn_server::proto::{
@@ -57,7 +58,7 @@ use folearn_server::proto::{
 use parking_lot::Mutex;
 
 use crate::health::{run_probe_loop, Health, PROBE_PERIOD};
-use crate::metrics::{aggregate_cluster, NodeStats, RouterMetrics};
+use crate::metrics::{self, aggregate_cluster, NodeStats, ROUTER_METRICS};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 
 /// Idle pooled connections kept per backend; excess checkins are
@@ -175,7 +176,7 @@ struct RouterState {
     /// Span/trace id allocator for stitched traces.
     next_trace: AtomicU64,
     trace_enabled: bool,
-    metrics: RouterMetrics,
+    metrics: Arc<Registry>,
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
 }
@@ -203,17 +204,13 @@ impl RouterState {
         }
     }
 
-    /// Account one backend call and update its health.
+    /// Account one backend call in its health.
     fn note_result(&self, bi: usize, ok: bool) {
-        self.metrics.record_backend_call(bi, ok);
         let health = &self.backends[bi].health;
         if ok {
-            if !health.is_live() {
-                self.metrics.record_recovery(bi);
-            }
             health.record_ok();
         } else if health.record_failure() {
-            self.metrics.record_ejection(bi);
+            folearn_obs::count(folearn_obs::Counter::Failovers, 1);
         }
     }
 
@@ -239,9 +236,18 @@ impl RouterState {
         out
     }
 
-    fn sync_gauges(&self) {
+    /// The router's own `stats` snapshot (without the cluster view).
+    fn snapshot(&self) -> Json {
+        let structures = self.structures.lock().len() as u64;
+        let hypotheses = self.hyps.lock().len() as u64;
         self.metrics
-            .set_store_sizes(self.structures.lock().len(), self.hyps.lock().len());
+            .set(&[("structures", structures), ("hypotheses", hypotheses)]);
+        let backends: Vec<(&str, &Health)> = self
+            .backends
+            .iter()
+            .map(|b| (b.addr.as_str(), &b.health))
+            .collect();
+        metrics::snapshot(&self.metrics, &backends)
     }
 
     /// A fresh span/trace id for stitched traces.
@@ -331,7 +337,7 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
         selection_tick: AtomicU64::new(1),
         next_trace: AtomicU64::new(1),
         trace_enabled: config.trace,
-        metrics: RouterMetrics::new_with_backends(&config.backends),
+        metrics: Arc::new(Registry::new("router", &[&ROUTER_METRICS, &FRONT_DOOR_METRICS])),
         shutdown: Arc::new(AtomicBool::new(false)),
         addr,
     });
@@ -345,6 +351,7 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
         "folearn-router",
         listener,
         handler,
+        Arc::clone(&state.metrics),
         ConnLimits {
             max_requests_per_conn: config.max_requests_per_conn.max(1),
             max_line_bytes: config.max_line_bytes.max(1),
@@ -420,22 +427,6 @@ impl EventHandler for RouterDispatch {
         event_loop::resubmit(&self.pool, job)
     }
 
-    fn observe(&self, op: &'static str, us: u64, ok: bool) {
-        self.state.metrics.record_request(op, us, ok);
-    }
-
-    fn conn_event(&self, ev: ConnEvent) {
-        let metrics = &self.state.metrics;
-        match ev {
-            ConnEvent::Accepted => {}
-            ConnEvent::Rejected => metrics.record_rejected_connection(),
-            ConnEvent::TruncatedFrame => metrics.record_truncated_frame(),
-            ConnEvent::OversizeClose => metrics.record_oversize_close(),
-            ConnEvent::IdleClose => metrics.record_idle_close(),
-            ConnEvent::OverLimitClose => metrics.record_over_limit(),
-        }
-    }
-
     fn wants_shutdown(&self) {
         self.state.request_shutdown();
     }
@@ -450,8 +441,7 @@ fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
             reason: "shutdown".to_string(),
         },
         Request::Stats => {
-            state.sync_gauges();
-            let mut data = state.metrics.snapshot();
+            let mut data = state.snapshot();
             // Fan the stats request out to every backend and attach the
             // merged cluster view to the router's own snapshot.
             let cluster = cluster_stats(state);
@@ -700,7 +690,8 @@ where
             match rx.recv_timeout(state.hedge_delay.expect("checked by may_hedge")) {
                 Ok(m) => m,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    state.metrics.record_hedge_fired();
+                    state.metrics.record_hedge(false);
+                    folearn_obs::count(folearn_obs::Counter::HedgesFired, 1);
                     launch(&mut attempts, next, "hedge");
                     next += 1;
                     outstanding += 1;
@@ -731,7 +722,8 @@ where
                 }
                 state.note_result(candidates[rank], true);
                 if is_hedge {
-                    state.metrics.record_hedge_won();
+                    state.metrics.record_hedge(true);
+                    folearn_obs::count(folearn_obs::Counter::HedgesWon, 1);
                 }
                 return Ok(Winner {
                     response,
@@ -756,7 +748,8 @@ where
                     });
                 }
                 if next < candidates.len() {
-                    state.metrics.record_replica_retry();
+                    state.metrics.add("replica_retries", 1);
+                    folearn_obs::count(folearn_obs::Counter::ReplicaRetries, 1);
                     launch(&mut attempts, next, "failover");
                     next += 1;
                     outstanding += 1;
@@ -1283,7 +1276,7 @@ fn repair_backend(
         }
         match client.register(&entry.graph_text) {
             Ok(_) => {
-                state.metrics.record_repair();
+                state.metrics.add("repairs_performed", 1);
                 state.note_result(bi, true);
             }
             Err(e) => {
@@ -1327,7 +1320,7 @@ fn repair_backend(
             &events,
         ) {
             Ok(_) => {
-                state.metrics.record_rebind_avoided();
+                state.metrics.add("rebinds_avoided", 1);
                 state.note_result(bi, true);
             }
             Err(e) => {

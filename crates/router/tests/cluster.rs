@@ -743,3 +743,65 @@ fn a_solve_pipelined_behind_its_register_finds_the_structure() {
     router.shutdown();
     backend.shutdown();
 }
+
+#[test]
+fn a_formula_nested_5000_deep_is_a_coded_error_on_both_daemons() {
+    let (router, backend) = router_with(RouterConfig::default());
+    let structure = Client::connect(router.addr())
+        .expect("connect")
+        .register(&io::to_text(&colored_path(8, 4)))
+        .expect("register through the router");
+    // About 10 KB on one line: the formula parser used to recurse once
+    // per parenthesis on the loop thread and overflow its stack.
+    let bomb = format!(
+        "exists x0. {}Red(x0) | true{}",
+        "(".repeat(5000),
+        ")".repeat(5000)
+    );
+    for addr in [backend.addr(), router.addr()] {
+        let mut c = Client::connect(addr).expect("connect");
+        match c.modelcheck(structure, &bomb) {
+            Err(ClientError::Server { message, code }) => {
+                assert_eq!(code.as_deref(), Some("bad_formula"), "{message}");
+                assert!(message.contains("nests deeper than"), "{message}");
+            }
+            other => panic!("expected a bad_formula error from {addr}, got {other:?}"),
+        }
+        // The same connection still serves.
+        assert!(c.modelcheck(structure, "exists x0. Red(x0)").expect("a sane formula"));
+    }
+    Client::connect(backend.addr()).unwrap().ping().expect("backend alive");
+    Client::connect(router.addr()).unwrap().ping().expect("router alive");
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn the_router_counts_its_connections_under_the_backends_names() {
+    let (router, backend) = router_with(RouterConfig::default());
+    let n = 5;
+    for _ in 0..n {
+        Client::connect(router.addr()).unwrap().ping().expect("ping");
+    }
+    // The stats client makes one more connection.
+    assert!(router_counter(&router, "connections") > n, "every connection counted");
+    let router_stats = Client::connect(router.addr()).unwrap().stats().expect("router stats");
+    let backend_stats = Client::connect(backend.addr()).unwrap().stats().expect("backend stats");
+    for name in [
+        "connections",
+        "rejected_connections",
+        "idle_closes",
+        "oversize_closes",
+        "truncated_frames",
+        "over_limit_closes",
+    ] {
+        for (role, stats) in [("router", &router_stats), ("backend", &backend_stats)] {
+            assert!(
+                stats.get(name).and_then(Json::as_usize).is_some(),
+                "{role} stats lack {name}"
+            );
+        }
+    }
+    router.shutdown();
+    backend.shutdown();
+}

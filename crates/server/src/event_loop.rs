@@ -28,8 +28,12 @@
 //! (which counts partial reads as activity) answers `bye (idle
 //! timeout)`, the request budget answers `bye (request limit)`, and
 //! daemon shutdown answers `bye (shutdown)` on every connection before
-//! the shards exit. Each limit violation is reported to the handler as
-//! a [`ConnEvent`] so the daemon can count it.
+//! the shards exit.
+//!
+//! The front door keeps its own accounting in the daemon's
+//! [`Registry`]: every served request lands in its endpoint's latency
+//! histogram, and every admitted, rejected or limit-closed connection
+//! bumps one of the [`FRONT_DOOR_METRICS`], which each daemon declares.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -41,6 +45,7 @@ use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
+use folearn_obs::{Metric, Registry};
 use parking_lot::Mutex;
 
 use crate::pool::{Job, TrySubmit, WorkerPool};
@@ -89,24 +94,19 @@ pub struct ConnLimits {
     pub idle_timeout: Duration,
 }
 
-/// A connection-lifecycle event the front door handled, surfaced so the
-/// daemon can count it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConnEvent {
-    /// A connection was admitted and handed to a shard.
-    Accepted,
-    /// A connection past the cap was answered `bye` and closed.
-    Rejected,
-    /// A frame was cut short by EOF (rejected, not served).
-    TruncatedFrame,
-    /// A request line exceeded [`ConnLimits::max_line_bytes`].
-    OversizeClose,
-    /// No activity (completed request or partial bytes) within
-    /// [`ConnLimits::idle_timeout`].
-    IdleClose,
-    /// The connection exceeded its request budget.
-    OverLimitClose,
-}
+/// The connection-lifecycle counters the front door keeps: connections
+/// admitted; closed for the request budget, idleness (no completed
+/// request or partial bytes within the idle timeout) or an oversized
+/// line; frames cut short by EOF (rejected, not served); connections
+/// turned away at the cap. Every daemon declares them in its registry.
+pub const FRONT_DOOR_METRICS: [Metric; 6] = [
+    Metric::counter("connections"),
+    Metric::counter("over_limit_closes"),
+    Metric::counter("idle_closes"),
+    Metric::counter("oversize_closes"),
+    Metric::counter("truncated_frames"),
+    Metric::counter("rejected_connections"),
+];
 
 /// Encode `response` and write it as one newline-terminated frame on a
 /// blocking stream (the acceptor's one-shot replies).
@@ -120,11 +120,11 @@ fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Resul
 /// One ordered response slot in a connection's reply queue.
 struct Slot {
     cell: Mutex<Option<Response>>,
-    op: &'static str,
+    /// The endpoint a served request is recorded under; `None` for
+    /// synthetic lifecycle replies (bye, oversize), which are not
+    /// requests.
+    op: Option<&'static str>,
     started: Instant,
-    /// Whether draining this slot reports to the `observe` callback
-    /// (synthetic lifecycle replies — bye, oversize — do not).
-    observed: bool,
 }
 
 /// Completes one response slot from any thread, then wakes the owning
@@ -174,8 +174,8 @@ pub enum Dispatch {
     Busy(Job),
 }
 
-/// The daemon half of the front door: request dispatch plus the metric
-/// and lifecycle callbacks.
+/// The daemon half of the front door: request dispatch and the shutdown
+/// callback.
 pub trait EventHandler: Send + Sync + 'static {
     /// Route one decoded request. Cheap requests should be answered
     /// inline (complete the responder and return [`Dispatch::Accepted`]);
@@ -186,15 +186,16 @@ pub trait EventHandler: Send + Sync + 'static {
     /// Re-offer a parked job. `Err` hands it back for the next tick.
     fn retry(&self, job: Job) -> Result<(), Job>;
 
-    /// One served request: `(op, µs, ok)`.
-    fn observe(&self, op: &'static str, us: u64, ok: bool);
-
-    /// A limit violation that closed a connection.
-    fn conn_event(&self, ev: ConnEvent);
-
     /// A served request asked for daemon-wide shutdown (its `bye` reply
     /// has already been queued on the issuing connection).
     fn wants_shutdown(&self);
+}
+
+/// What the acceptor and every shard of one front door share.
+struct Door {
+    handler: Arc<dyn EventHandler>,
+    metrics: Arc<Registry>,
+    limits: ConnLimits,
 }
 
 /// Why a connection left the loop (internal).
@@ -247,9 +248,8 @@ impl Conn {
     fn push_synthetic(&mut self, response: Response) {
         self.slots.push_back(Arc::new(Slot {
             cell: Mutex::new(Some(response)),
-            op: "",
+            op: None,
             started: Instant::now(),
-            observed: false,
         }));
     }
 
@@ -282,8 +282,7 @@ impl Conn {
     /// `read_cold` says whether this pass reads cold connections.
     fn tick(
         &mut self,
-        handler: &dyn EventHandler,
-        limits: &ConnLimits,
+        door: &Door,
         chunk: &mut [u8],
         read_cold: bool,
         progress: &mut bool,
@@ -291,7 +290,7 @@ impl Conn {
         // Re-offer a parked compute job before anything else: its slot
         // is already in the queue and everything behind it is waiting.
         if let Some(job) = self.deferred.take() {
-            match handler.retry(job) {
+            match door.handler.retry(job) {
                 Ok(()) => *progress = true,
                 Err(job) => self.deferred = Some(job),
             }
@@ -308,7 +307,7 @@ impl Conn {
                     *progress = true;
                     self.last_activity = Instant::now();
                     self.read_buf.extend_from_slice(&chunk[..n]);
-                    if self.decode_frames(handler, limits) {
+                    if self.decode_frames(door) {
                         return ConnFate::Closed;
                     }
                     if n < chunk.len() {
@@ -328,7 +327,7 @@ impl Conn {
             && self.deferred.is_none()
             && !self.read_buf.is_empty()
             && self.slots.len() < MAX_INFLIGHT_PER_CONN
-            && self.decode_frames(handler, limits)
+            && self.decode_frames(door)
         {
             return ConnFate::Closed;
         }
@@ -337,7 +336,7 @@ impl Conn {
         // the leftover be judged (a partial frame is truncated; bare
         // whitespace is a clean hangup).
         if self.peer_eof && !self.closing && !self.read_buf.contains(&b'\n') {
-            self.on_eof(handler);
+            self.on_eof(door);
         }
 
         // Idle: only a connection with nothing pending in either
@@ -348,9 +347,9 @@ impl Conn {
             && self.slots.is_empty()
             && self.write_buf.len() == self.write_pos
             && self.deferred.is_none()
-            && self.last_activity.elapsed() >= limits.idle_timeout
+            && self.last_activity.elapsed() >= door.limits.idle_timeout
         {
-            handler.conn_event(ConnEvent::IdleClose);
+            door.metrics.add("idle_closes", 1);
             self.push_synthetic(Response::Bye {
                 reason: "idle timeout".to_string(),
             });
@@ -364,16 +363,16 @@ impl Conn {
             let Some(response) = response else { break };
             let front = self.slots.pop_front().expect("front exists");
             *progress = true;
-            if front.observed {
+            if let Some(op) = front.op {
                 let ok = !matches!(response, Response::Error { .. });
                 let us = front.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                handler.observe(front.op, us, ok);
+                door.metrics.record_request(op, us, ok);
             }
             if let Response::Bye { reason } = &response {
                 if !self.closing && reason == "shutdown" {
                     // A served shutdown request: tell the daemon after
                     // the bye is queued.
-                    handler.wants_shutdown();
+                    door.handler.wants_shutdown();
                 }
                 self.closing = true;
             }
@@ -415,13 +414,13 @@ impl Conn {
 
     /// EOF from the peer: leftover bytes are a truncated frame,
     /// whitespace-only leftovers a clean hangup.
-    fn on_eof(&mut self, handler: &dyn EventHandler) {
+    fn on_eof(&mut self, door: &Door) {
         if self.closing {
             return;
         }
         let leftover = &self.read_buf[..];
         if !leftover.iter().all(|b| b.is_ascii_whitespace()) {
-            handler.conn_event(ConnEvent::TruncatedFrame);
+            door.metrics.add("truncated_frames", 1);
             self.push_synthetic(Response::error(
                 "malformed request: truncated frame (EOF before newline)",
             ));
@@ -434,7 +433,8 @@ impl Conn {
     /// Decode every complete frame in the read buffer (bounded by the
     /// in-flight cap and the lifecycle limits). Returns `true` on a
     /// fatal framing failure (the connection must close with no reply).
-    fn decode_frames(&mut self, handler: &dyn EventHandler, limits: &ConnLimits) -> bool {
+    fn decode_frames(&mut self, door: &Door) -> bool {
+        let limits = &door.limits;
         loop {
             if self.closing
                 || self.deferred.is_some()
@@ -451,14 +451,14 @@ impl Conn {
                 // the cap is answered and closed right now — `read_buf`
                 // growth is bounded no matter what arrives.
                 if self.read_buf.len() > limits.max_line_bytes {
-                    self.oversize(handler, limits);
+                    self.oversize(door);
                 }
                 self.scan_from = self.read_buf.len();
                 return false;
             };
             // Frame length includes the newline.
             if nl + 1 > limits.max_line_bytes {
-                self.oversize(handler, limits);
+                self.oversize(door);
                 return false;
             }
             let line: Vec<u8> = self.read_buf.drain(..=nl).collect();
@@ -472,7 +472,7 @@ impl Conn {
             }
             self.served += 1;
             if self.served > limits.max_requests_per_conn {
-                handler.conn_event(ConnEvent::OverLimitClose);
+                door.metrics.add("over_limit_closes", 1);
                 self.push_synthetic(Response::Bye {
                     reason: "request limit".to_string(),
                 });
@@ -484,16 +484,15 @@ impl Conn {
                 Ok(req) => {
                     let slot = Arc::new(Slot {
                         cell: Mutex::new(None),
-                        op: req.op(),
+                        op: Some(req.op()),
                         started,
-                        observed: true,
                     });
                     self.slots.push_back(Arc::clone(&slot));
                     let responder = Responder {
                         slot: Some(slot),
                         shard: std::thread::current(),
                     };
-                    match handler.dispatch(req, responder) {
+                    match door.handler.dispatch(req, responder) {
                         Dispatch::Accepted => {}
                         Dispatch::Busy(job) => self.deferred = Some(job),
                     }
@@ -507,9 +506,8 @@ impl Conn {
                         cell: Mutex::new(Some(Response::error(format!(
                             "malformed request: {e}"
                         )))),
-                        op: "malformed",
+                        op: Some("malformed"),
                         started,
-                        observed: true,
                     });
                     self.slots.push_back(slot);
                 }
@@ -517,11 +515,11 @@ impl Conn {
         }
     }
 
-    fn oversize(&mut self, handler: &dyn EventHandler, limits: &ConnLimits) {
-        handler.conn_event(ConnEvent::OversizeClose);
+    fn oversize(&mut self, door: &Door) {
+        door.metrics.add("oversize_closes", 1);
         self.push_synthetic(Response::error(format!(
             "malformed request: line exceeds {} bytes",
-            limits.max_line_bytes
+            door.limits.max_line_bytes
         )));
         self.closing = true;
         self.read_buf.clear();
@@ -534,8 +532,7 @@ impl Conn {
 /// check and [`FrontDoor::live`] see the true count.
 fn shard_loop(
     inbox: &Receiver<TcpStream>,
-    handler: &Arc<dyn EventHandler>,
-    limits: &ConnLimits,
+    door: &Door,
     shutdown: &AtomicBool,
     live: &AtomicUsize,
 ) {
@@ -580,7 +577,7 @@ fn shard_loop(
         }
 
         conns.retain_mut(|conn| {
-            match conn.tick(handler.as_ref(), limits, &mut chunk, read_cold, &mut progress) {
+            match conn.tick(door, &mut chunk, read_cold, &mut progress) {
                 ConnFate::Alive => true,
                 ConnFate::Closed => {
                     live.fetch_sub(1, Ordering::SeqCst);
@@ -637,13 +634,16 @@ impl FrontDoor {
 
 /// Serve `listener` with `handler`: one acceptor thread that admits up
 /// to `max_connections` live connections and deals them round-robin to
-/// one shard thread per host core (at most four). Threads are named
-/// after `name`. Everything exits once `shutdown` is set; the daemon
-/// must then wake the blocked acceptor with one more connection.
+/// one shard thread per host core (at most four). Served requests and
+/// connection-lifecycle events are recorded in `metrics`, which must
+/// declare [`FRONT_DOOR_METRICS`]. Threads are named after `name`.
+/// Everything exits once `shutdown` is set; the daemon must then wake
+/// the blocked acceptor with one more connection.
 pub fn start(
     name: &str,
     listener: TcpListener,
     handler: Arc<dyn EventHandler>,
+    metrics: Arc<Registry>,
     limits: ConnLimits,
     max_connections: usize,
     shutdown: Arc<AtomicBool>,
@@ -652,19 +652,24 @@ pub fn start(
     let num_loops = cores.min(MAX_LOOPS);
     let max_connections = max_connections.max(1);
     let live = Arc::new(AtomicUsize::new(0));
+    let door = Arc::new(Door {
+        handler,
+        metrics,
+        limits,
+    });
 
     let mut senders = Vec::with_capacity(num_loops);
     let mut loops = Vec::with_capacity(num_loops);
     for i in 0..num_loops {
         let (tx, rx) = mpsc::channel::<TcpStream>();
         senders.push(tx);
-        let handler = Arc::clone(&handler);
+        let door = Arc::clone(&door);
         let live = Arc::clone(&live);
         let shutdown = Arc::clone(&shutdown);
         loops.push(
             std::thread::Builder::new()
                 .name(format!("{name}-loop-{i}"))
-                .spawn(move || shard_loop(&rx, &handler, &limits, &shutdown, &live))?,
+                .spawn(move || shard_loop(&rx, &door, &shutdown, &live))?,
         );
     }
 
@@ -680,7 +685,7 @@ pub fn start(
                     }
                     let Ok(mut stream) = incoming else { continue };
                     if live.load(Ordering::SeqCst) >= max_connections {
-                        handler.conn_event(ConnEvent::Rejected);
+                        door.metrics.add("rejected_connections", 1);
                         let _ = write_response(
                             &mut stream,
                             &Response::Bye {
@@ -689,7 +694,7 @@ pub fn start(
                         );
                         continue;
                     }
-                    handler.conn_event(ConnEvent::Accepted);
+                    door.metrics.add("connections", 1);
                     live.fetch_add(1, Ordering::SeqCst);
                     let shard = next % senders.len();
                     next = next.wrapping_add(1);
@@ -697,7 +702,7 @@ pub fn start(
                         // The shard is gone (only plausible during
                         // shutdown): degrade with a reply, not a panic.
                         live.fetch_sub(1, Ordering::SeqCst);
-                        handler.conn_event(ConnEvent::Rejected);
+                        door.metrics.add("rejected_connections", 1);
                         let mut stream = back.0;
                         let _ = write_response(
                             &mut stream,
@@ -771,6 +776,7 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Json;
     use std::io::{BufRead, BufReader};
 
     /// A handler that answers pings inline and never offloads.
@@ -790,20 +796,21 @@ mod tests {
         fn retry(&self, _job: Job) -> Result<(), Job> {
             Ok(())
         }
-        fn observe(&self, _op: &'static str, _us: u64, _ok: bool) {}
-        fn conn_event(&self, _ev: ConnEvent) {}
         fn wants_shutdown(&self) {}
     }
 
-    /// Run `body` against an echo front door, then shut it down.
-    fn with_echo(limits: ConnLimits, body: impl FnOnce(std::net::SocketAddr)) {
+    /// Run `body` against an echo front door, then shut it down and
+    /// return the front door's accounting.
+    fn with_echo(limits: ConnLimits, body: impl FnOnce(std::net::SocketAddr)) -> Registry {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
+        let metrics = Arc::new(Registry::new("echo", &[&FRONT_DOOR_METRICS]));
         let mut front = start(
             "echo",
             listener,
             Arc::new(Echo),
+            Arc::clone(&metrics),
             limits,
             16,
             Arc::clone(&shutdown),
@@ -814,6 +821,8 @@ mod tests {
         let _ = TcpStream::connect(addr);
         front.join();
         assert_eq!(front.live(), 0, "every connection is accounted for");
+        drop(front);
+        Arc::into_inner(metrics).expect("the front door let go of its registry")
     }
 
     #[test]
@@ -823,7 +832,7 @@ mod tests {
             max_line_bytes: 1 << 20,
             idle_timeout: Duration::from_secs(30),
         };
-        with_echo(limits, |addr| {
+        let metrics = with_echo(limits, |addr| {
             let mut stream = TcpStream::connect(addr).unwrap();
             let burst = "{\"op\":\"ping\"}\n".repeat(50);
             stream.write_all(burst.as_bytes()).unwrap();
@@ -834,6 +843,12 @@ mod tests {
                 assert!(line.contains("pong"), "got {line:?}");
             }
         });
+        // The front door did its own accounting: every ping served, and
+        // the client plus the shutdown wake-up connection admitted.
+        let snap = metrics.snapshot();
+        let ping = snap.get("endpoints").and_then(|e| e.get("ping")).unwrap();
+        assert_eq!(ping.get("count").and_then(Json::as_usize), Some(50));
+        assert!(snap.get("connections").and_then(Json::as_usize) >= Some(1));
     }
 
     #[test]
@@ -843,7 +858,7 @@ mod tests {
             max_line_bytes: 64,
             idle_timeout: Duration::from_secs(30),
         };
-        with_echo(limits, |addr| {
+        let metrics = with_echo(limits, |addr| {
             let mut stream = TcpStream::connect(addr).unwrap();
             let mut burst = String::from("{\"op\":\"ping\"}\n");
             burst.push_str(&"x".repeat(200));
@@ -859,6 +874,8 @@ mod tests {
             line.clear();
             assert_eq!(reader.read_line(&mut line).unwrap(), 0, "closed after");
         });
+        let snap = metrics.snapshot();
+        assert_eq!(snap.get("oversize_closes").and_then(Json::as_usize), Some(1));
     }
 
     #[test]
@@ -867,9 +884,8 @@ mod tests {
         let run = |run: Box<dyn FnOnce() -> Response + Send>| {
             let slot = Arc::new(Slot {
                 cell: Mutex::new(None),
-                op: "solve",
+                op: Some("solve"),
                 started: Instant::now(),
-                observed: true,
             });
             let responder = Responder {
                 slot: Some(Arc::clone(&slot)),

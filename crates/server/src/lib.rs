@@ -7,7 +7,8 @@
 //! * [`proto`] — wire format: framing, the [`proto::Json`] value type,
 //!   request/response envelopes, FNV-1a content hashing;
 //! * [`server`] — the daemon: structure registry, bounded worker pool
-//!   dispatch, sharded LRU result cache, metrics, graceful shutdown;
+//!   dispatch, sharded LRU result cache, metrics (a
+//!   [`folearn_obs::Registry`]), graceful shutdown;
 //! * [`event_loop`] — the front door shared with the cluster router:
 //!   an acceptor plus nonblocking readiness shards with per-connection
 //!   read/write buffers, pipelined frame decoding, and ordered response
@@ -23,7 +24,7 @@
 //! * [`chaos`] — a deterministic fault-injection proxy (drop / delay /
 //!   truncate / garble / reset frames under a seeded RNG; experiment
 //!   E19);
-//! * [`cache`], [`metrics`], [`pool`] — the daemon's moving parts,
+//! * [`cache`], [`pool`] — the daemon's moving parts,
 //!   exposed for reuse and testing;
 //! * [`loadgen`] — a deterministic load generator (experiment E17 and
 //!   the `folearn loadgen` subcommand).
@@ -47,7 +48,6 @@ pub mod chaos;
 pub mod client;
 pub mod event_loop;
 pub mod loadgen;
-pub mod metrics;
 pub mod pool;
 pub mod proto;
 pub mod server;

@@ -87,13 +87,6 @@ impl WorkerPool {
         self.panics.load(Ordering::Relaxed)
     }
 
-    /// Record a panic that was caught outside the worker loop (e.g. by a
-    /// submitter that wrapped its job in `catch_unwind` to extract the
-    /// panic message before replying).
-    pub fn note_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Submit a job, blocking while the queue is full (backpressure).
     /// Returns `false` if the pool has already shut down.
     pub fn submit(&self, job: Job) -> bool {

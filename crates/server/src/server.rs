@@ -36,6 +36,15 @@
 //! across calls for the lifetime of the daemon. That is what lets a
 //! remote client group equal oracle answers exactly like the
 //! in-process oracle does.
+//!
+//! # Metrics
+//!
+//! The daemon's `stats` reply is its [`Registry`] snapshot. The front
+//! door records served requests and connection-lifecycle counters
+//! itself; the daemon declares the rest in [`BACKEND_METRICS`] and keeps
+//! them current: WAL appends and solver work as they happen, and the
+//! cache, store and pool figures copied from their sources of truth
+//! when `stats` is asked for.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -50,12 +59,14 @@ use folearn::{solve_fo_erm, Hypothesis, SharedArena, Solver};
 use folearn_graph::{io, Graph, V};
 use folearn_logic::parser;
 use folearn_logic::vm::EvalEngine;
+use folearn_obs::{Metric, Registry};
 use folearn_types::TypeArena;
 use parking_lot::Mutex;
 
 use crate::cache::{ShardedCache, ShardedMap};
-use crate::event_loop::{self, ConnEvent, ConnLimits, Dispatch, EventHandler, FrontDoor, Responder};
-use crate::metrics::Metrics;
+use crate::event_loop::{
+    self, ConnLimits, Dispatch, EventHandler, FrontDoor, Responder, FRONT_DOOR_METRICS,
+};
 use crate::pool::{Job, WorkerPool};
 use crate::proto::{
     fnv1a64, hex64, Json, Request, Response, SolveOutcome, SolverSpec, TraceContext, WireBinding,
@@ -141,6 +152,33 @@ struct StoredHypothesis {
     structure: u64,
 }
 
+/// The counters, gauges and flags a backend declares beyond the front
+/// door's: pool, store and recovery figures, the WAL, the solve cache
+/// and the solver's work.
+pub const BACKEND_METRICS: [Metric; 18] = [
+    Metric::counter("worker_panics"),
+    Metric::gauge("event_loops"),
+    Metric::gauge("structures"),
+    Metric::gauge("hypotheses"),
+    Metric::flag("durable"),
+    Metric::counter("wal_records_written"),
+    Metric::counter("wal_records_replayed"),
+    Metric::counter("snapshot_loads"),
+    Metric::counter("torn_tail_truncations"),
+    Metric::gauge("recovery_ms"),
+    Metric::counter("cache.hits"),
+    Metric::counter("cache.misses"),
+    Metric::counter("cache.evictions"),
+    Metric::gauge("cache.entries"),
+    Metric::gauge("cache.shards"),
+    Metric::hit_rate("cache.hit_rate"),
+    Metric::counter("solver.evaluated_params"),
+    Metric::counter("solver.pruned_params"),
+];
+
+/// Everything a backend's registry declares, in `stats` order.
+pub const METRICS: [&[Metric]; 2] = [&FRONT_DOOR_METRICS, &BACKEND_METRICS];
+
 struct State {
     graphs: ShardedMap<Arc<Graph>>,
     arenas: Mutex<HashMap<usize, SharedArena>>,
@@ -155,7 +193,7 @@ struct State {
     /// instead of recomputing; the running job fans its outcome out to
     /// every waiter when it completes.
     inflight: Mutex<HashMap<(u64, u64, u64), Vec<Responder>>>,
-    metrics: Metrics,
+    metrics: Arc<Registry>,
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
     max_requests_per_conn: usize,
@@ -187,12 +225,17 @@ impl State {
         )
     }
 
+    /// Copy the cache and store figures from their sources of truth.
     fn sync_gauges(&self) {
         let (hits, misses, evictions) = self.cache.counters();
-        self.metrics
-            .set_cache_counters(hits, misses, evictions, self.cache.len());
-        self.metrics
-            .set_store_sizes(self.graphs.len(), self.hypotheses.len());
+        self.metrics.set(&[
+            ("cache.hits", hits),
+            ("cache.misses", misses),
+            ("cache.evictions", evictions),
+            ("cache.entries", self.cache.len() as u64),
+            ("structures", self.graphs.len() as u64),
+            ("hypotheses", self.hypotheses.len() as u64),
+        ]);
     }
 
     fn limits(&self) -> ConnLimits {
@@ -218,7 +261,7 @@ impl State {
         let mut durable = self.durable.lock();
         if let Some(d) = durable.as_mut() {
             match d.append(record) {
-                Ok(_compacted) => self.metrics.record_wal_append(),
+                Ok(_compacted) => self.metrics.add("wal_records_written", 1),
                 Err(e) => eprintln!("folearn-server: WAL append failed: {e}"),
             }
         }
@@ -284,7 +327,7 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         next_hypothesis: AtomicU64::new(1),
         cache: ShardedCache::new(config.cache_capacity, shards),
         inflight: Mutex::new(HashMap::new()),
-        metrics: Metrics::new(),
+        metrics: Arc::new(Registry::new("server", &METRICS).with_span_rollup()),
         shutdown: Arc::new(AtomicBool::new(false)),
         addr,
         max_requests_per_conn: config.max_requests_per_conn.max(1),
@@ -309,13 +352,15 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         "folearn",
         listener,
         handler,
+        Arc::clone(&state.metrics),
         state.limits(),
         config.max_connections,
         Arc::clone(&state.shutdown),
     )?;
-    state
-        .metrics
-        .set_core_info(front.loops(), state.cache.num_shards());
+    state.metrics.set(&[
+        ("event_loops", front.loops() as u64),
+        ("cache.shards", state.cache.num_shards() as u64),
+    ]);
     Ok(ServerHandle {
         addr,
         state,
@@ -381,26 +426,18 @@ fn recover(state: &Arc<State>, dir: &std::path::Path, snapshot_every: usize) -> 
     state
         .next_hypothesis
         .store(max_id.saturating_add(1).max(1), Ordering::SeqCst);
-    state.metrics.set_recovery(
-        stats.records_replayed(),
-        stats.snapshot_loads,
-        stats.torn_tail_truncations,
-        started.elapsed().as_millis() as u64,
-    );
+    // Marks the daemon durable: a freshly restarted backend reports its
+    // recovery story before its first request.
+    state.metrics.set(&[
+        ("durable", 1),
+        ("wal_records_replayed", stats.records_replayed()),
+        ("snapshot_loads", stats.snapshot_loads),
+        ("torn_tail_truncations", stats.torn_tail_truncations),
+        ("recovery_ms", started.elapsed().as_millis() as u64),
+    ]);
     state.sync_gauges();
     *state.durable.lock() = Some(durability);
     Ok(())
-}
-
-fn record_conn_event(state: &State, ev: ConnEvent) {
-    match ev {
-        ConnEvent::Accepted => state.metrics.record_connection(),
-        ConnEvent::Rejected => state.metrics.record_rejected_connection(),
-        ConnEvent::TruncatedFrame => state.metrics.record_truncated_frame(),
-        ConnEvent::OversizeClose => state.metrics.record_oversize_close(),
-        ConnEvent::IdleClose => state.metrics.record_idle_close(),
-        ConnEvent::OverLimitClose => state.metrics.record_over_limit(),
-    }
 }
 
 /// The daemon's dispatcher: cheap requests answered inline on the loop
@@ -562,14 +599,6 @@ impl EventHandler for ServerDispatch {
         event_loop::resubmit(&self.pool, job)
     }
 
-    fn observe(&self, op: &'static str, us: u64, ok: bool) {
-        self.state.metrics.record_request(op, us, ok);
-    }
-
-    fn conn_event(&self, ev: ConnEvent) {
-        record_conn_event(&self.state, ev);
-    }
-
     fn wants_shutdown(&self) {
         self.state.request_shutdown();
     }
@@ -577,7 +606,7 @@ impl EventHandler for ServerDispatch {
 
 fn handle_stats(state: &Arc<State>, pool: &Arc<WorkerPool>) -> Response {
     state.sync_gauges();
-    state.metrics.set_worker_panics(pool.panic_count());
+    state.metrics.set(&[("worker_panics", pool.panic_count())]);
     Response::Stats {
         data: state.metrics.snapshot(),
     }
@@ -856,9 +885,8 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
             trace: None,
         },
     });
-    state
-        .metrics
-        .record_solver_work(report.evaluated_params, report.pruned_params);
+    state.metrics.add("solver.evaluated_params", report.evaluated_params as u64);
+    state.metrics.add("solver.pruned_params", report.pruned_params as u64);
     let trace = sp.finish().map(|rec| {
         state.metrics.absorb_span(&rec);
         folearn_obs::export::span_to_json(&rec)
@@ -987,7 +1015,9 @@ fn plan_modelcheck(
     };
     let phi = match parser::parse(formula, g.vocab()) {
         Ok(phi) => phi,
-        Err(e) => return Err(Response::error(format!("modelcheck: {e}"))),
+        // Parsed here, on the loop thread: the parser's depth bound is
+        // what keeps a deeply nested formula from overflowing its stack.
+        Err(e) => return Err(Response::error_coded("bad_formula", format!("modelcheck: {e}"))),
     };
     if !phi.is_sentence() {
         return Err(Response::error(

@@ -123,7 +123,27 @@ RADDR=$(cat "$SMOKE/router.addr")
 "$FOLEARN" client --addr "$RADDR" --action solve --graph "$SMOKE/graph.txt" \
     --examples "$SMOKE/sample.txt" --ell 1 --q 1 --retries 4 > "$SMOKE/routed.txt"
 grep -q 'training error:  0.0000' "$SMOKE/routed.txt"
-"$FOLEARN" client --addr "$RADDR" --action stats | grep -q '"router"'
+"$FOLEARN" client --addr "$RADDR" --action stats > "$SMOKE/router-stats.txt"
+grep -q '"router"' "$SMOKE/router-stats.txt"
+# The front door does the router's connection accounting too: its own
+# top-level `connections`, not only the cluster view's sum.
+grep -Eq '^  "connections": [1-9]' "$SMOKE/router-stats.txt"
+
+# A formula nested 5000 parentheses deep (~10 KB on one line) used to
+# overflow a loop thread's stack and abort the daemon. Both a backend and
+# the router must refuse it with a coded error and keep serving.
+OPEN=$(printf '%*s' 5000 '' | tr ' ' '(')
+CLOSE=$(printf '%*s' 5000 '' | tr ' ' ')')
+BOMB="exists x0. ${OPEN}Red(x0) | true${CLOSE}"
+for A in "$(cat "$SMOKE/b1.addr")" "$RADDR"; do
+    if "$FOLEARN" client --addr "$A" --action modelcheck --graph "$SMOKE/graph.txt" \
+        --formula "$BOMB" > "$SMOKE/bomb.txt" 2>&1; then
+        echo "tier1: $A answered a 5000-deep formula instead of refusing it" >&2
+        exit 1
+    fi
+    grep -q 'server error \[bad_formula\]' "$SMOKE/bomb.txt"
+    "$FOLEARN" client --addr "$A" --action ping | grep -q pong
+done
 
 # The router runs the same front door: the same 224-connection pipelined
 # load through it must come back exact, with zero errors.
