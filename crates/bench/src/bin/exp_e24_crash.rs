@@ -7,7 +7,7 @@
 //! restarted — and the two recovery paths differ exactly as designed:
 //!
 //! * `--data-dir` (durable): the restarted backend replays its WAL —
-//!   `wal_records_replayed > 0`, hypotheses and their local ids intact —
+//!   `wal_records_replayed > 0`, hypotheses back under their content ids —
 //!   so the router's anti-entropy sweep finds **nothing to re-seed**
 //!   (`reseeds == 0`). Recovery cost is the replay, measured both by
 //!   the daemon (`recovery_ms`) and end to end (`restart_ms`).
@@ -201,7 +201,7 @@ struct CellOutcome {
     /// The daemon's own measure of replay cost (volatile: 0).
     recovery_ms: u64,
     /// Post-restart hypothesis count straight off the victim —
-    /// durable restarts come back with bindings already in place.
+    /// durable restarts come back with their hypotheses in place.
     hypotheses_after_restart: usize,
     unrecovered_errors: usize,
 }
@@ -405,7 +405,7 @@ fn main() {
     println!();
     println!(
         "recovery (WAL replay): {}ms to serving + {}ms to full inventory, \
-         {} records replayed (daemon-side replay {}ms), {} bindings back",
+         {} records replayed (daemon-side replay {}ms), {} hypotheses back",
         durable.restart_ms,
         durable.converge_ms,
         durable.wal_records_replayed,

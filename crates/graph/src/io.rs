@@ -17,6 +17,11 @@ use crate::builder::GraphBuilder;
 use crate::graph::{Graph, V};
 use crate::vocab::Vocabulary;
 
+/// The largest vertex count [`parse_graph`] accepts. The count sizes an
+/// allocation before any edge is read, so a few bytes of text
+/// (`vertices 3000000000`) would otherwise ask for tens of gigabytes.
+pub const MAX_VERTICES: usize = 1 << 24;
+
 /// Errors from [`parse_graph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphParseError {
@@ -68,6 +73,12 @@ pub fn parse_graph(text: &str) -> Result<Graph, GraphParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(line_no, "expected a vertex count"))?;
+                if n > MAX_VERTICES {
+                    return Err(err(
+                        line_no,
+                        &format!("vertex count {n} exceeds the limit of {MAX_VERTICES}"),
+                    ));
+                }
                 builder = Some(GraphBuilder::with_vertices(vocab.clone(), n));
             }
             "edge" | "color" => {
@@ -203,6 +214,15 @@ mod tests {
         let e = parse_graph("vertices 2\ncolor 0 Green\n").unwrap_err();
         assert!(e.message.contains("Green"));
         assert!(parse_graph("edge 0 1\n").is_err() || parse_graph("").is_err());
+    }
+
+    #[test]
+    fn a_huge_vertex_count_is_refused_before_allocating() {
+        for n in ["3000000000".to_string(), (MAX_VERTICES + 1).to_string()] {
+            let e = parse_graph(&format!("colors Red\nvertices {n}\nedge 0 1\n")).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(e.message.contains("exceeds the limit"), "{e}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub enum Predictor {
         client: Arc<Mutex<RetryingClient>>,
         /// Content hash of the structure the hypothesis was learned on.
         structure: u64,
-        /// Server-assigned hypothesis id.
+        /// Hypothesis id (the solve's content address).
         hypothesis: u64,
         /// The hypothesis's parameter vertices (reported on the wire;
         /// the disjoint-copies argument inspects them).
@@ -288,7 +288,7 @@ impl ErmOracle for RemoteOracle {
         }
         let h = outcome.hypothesis;
         // Group by the backend-independent identity: canonical type-set
-        // hashes, parameters, rank. Arena-relative `types` would differ
+        // hashes, parameters, rank. Arena-relative type ids would differ
         // between cluster replicas and tear equal answers apart.
         let next = self.key_table.len() as u64;
         let key = *self

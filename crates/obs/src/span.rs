@@ -62,18 +62,10 @@ pub enum Counter {
     VmBatchLanes,
     /// `u64` bitset words read or written by VM instruction dispatches.
     VmWordsScanned,
-    /// Hedge requests launched by the cluster router (primary was slow).
-    HedgesFired,
-    /// Hedge requests whose reply arrived before the primary's.
-    HedgesWon,
-    /// Read requests re-sent to the next replica after a failure.
-    ReplicaRetries,
-    /// Backends ejected from rotation by the router's health tracker.
-    Failovers,
 }
 
 /// Number of counter slots.
-pub const COUNTERS: usize = 23;
+pub const COUNTERS: usize = 19;
 
 impl Counter {
     /// Every counter, in slot order.
@@ -97,10 +89,6 @@ impl Counter {
         Counter::VmInstructions,
         Counter::VmBatchLanes,
         Counter::VmWordsScanned,
-        Counter::HedgesFired,
-        Counter::HedgesWon,
-        Counter::ReplicaRetries,
-        Counter::Failovers,
     ];
 
     /// The stable snake_case name used in exports.
@@ -125,10 +113,6 @@ impl Counter {
             Counter::VmInstructions => "vm_instructions",
             Counter::VmBatchLanes => "vm_batch_lanes",
             Counter::VmWordsScanned => "vm_words_scanned",
-            Counter::HedgesFired => "hedges_fired",
-            Counter::HedgesWon => "hedges_won",
-            Counter::ReplicaRetries => "replica_retries",
-            Counter::Failovers => "failovers",
         }
     }
 

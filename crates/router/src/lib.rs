@@ -24,7 +24,7 @@
 //! * **Anti-entropy** ([`router`], paced by [`health`]) — a background
 //!   pass diffs each backend's `inventory` against the router's
 //!   placement tables, re-seeds structures a replica has lost, and
-//!   replicates hypothesis bindings ahead of need, so a restarted
+//!   re-solves hypotheses it lacks ahead of need, so a restarted
 //!   backend is repaired before traffic finds the hole.
 //!
 //! The router speaks the *same* newline-delimited JSON protocol as the
@@ -34,11 +34,15 @@
 //! field naming the backend that actually answered; `register` acks
 //! gain the replica list.
 //!
-//! Cross-backend answer identity rests on canonical type keys
-//! (`folearn_types::canon`, surfaced as `type_keys` on wire
-//! hypotheses): backends number types arena-relatively, but the
-//! content hashes agree, so a reduction that groups oracle answers
-//! stays bit-identical no matter which replica served each call.
+//! Cross-backend identity rests on content addresses. A hypothesis id
+//! is the hash of the solve that derives it
+//! (`folearn_server::proto::hypothesis_id`), so every replica names the
+//! same hypothesis alike and the router passes ids through untouched.
+//! Its types travel as canonical keys (`folearn_types::canon`, surfaced
+//! as `type_keys` on wire hypotheses): backends number types
+//! arena-relatively, but the content hashes agree, so a reduction that
+//! groups oracle answers stays bit-identical no matter which replica
+//! served each call.
 
 pub mod health;
 pub mod metrics;

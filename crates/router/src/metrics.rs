@@ -5,8 +5,8 @@
 //! backend's, so front-door requests and connection-lifecycle counters
 //! read the same on both daemons. On top, a router declares
 //! [`ROUTER_METRICS`] — hedges fired and won, replica retries, failovers,
-//! anti-entropy repairs (structures re-seeded, hypothesis bindings
-//! replicated ahead of need) and its table sizes — and [`snapshot`]
+//! anti-entropy repairs (structures re-seeded, hypotheses re-solved on
+//! replicas that lack them) and its table sizes — and [`snapshot`]
 //! appends a request/error/ejection row per backend, read from each
 //! backend's [`Health`] when `stats` is asked for. [`aggregate_cluster`]
 //! merges the backends' own snapshots into the `cluster` view.

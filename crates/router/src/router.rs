@@ -19,21 +19,23 @@
 //!   its channel receiver is gone). Transport failures walk further
 //!   down the replica ladder; deterministic server-side rejections pass
 //!   straight through, since every replica would reject identically.
-//! * Hypothesis ids are *router-assigned*: a `solved` reply is rebound
-//!   to a fresh router id and the winning backend's local id is
-//!   remembered per backend. An `evaluate` landing on a replica with no
-//!   binding re-solves there first — the solver is deterministic and
-//!   the structure text canonical, so the re-solve reproduces the same
-//!   hypothesis — which is what lets an evaluate survive the death of
-//!   the backend that originally learned it.
+//! * Hypothesis ids pass through untouched: a backend names each
+//!   hypothesis by the content hash of the solve that derives it, so
+//!   every replica names it alike and the router only remembers which
+//!   solve request an id came from. An `evaluate` sends that id to a
+//!   replica; one that answers `unknown_hypothesis` re-solves first —
+//!   the solver is deterministic and the structure text canonical, so
+//!   the re-solve reproduces the same hypothesis under the same id —
+//!   which is what lets an evaluate survive the death of the backend
+//!   that originally learned it.
 //! * A backend that reports `unknown_structure` for a structure the
 //!   router placed (i.e. it restarted and lost its registry) is
 //!   re-seeded from the router's stored canonical text and the call is
 //!   retried on the spot.
 //! * A background anti-entropy pass (every
 //!   [`RouterConfig::repair_interval`]) sweeps each backend's
-//!   `inventory`, re-seeds structures a replica has lost, and
-//!   replicates hypothesis bindings ahead of need — so a restarted
+//!   `inventory`, re-seeds structures a replica has lost, and re-solves
+//!   hypotheses it lacks ahead of need — so a restarted
 //!   backend is repaired before traffic finds the hole, instead of
 //!   every evaluate paying a lazy re-solve.
 
@@ -101,7 +103,7 @@ pub struct RouterConfig {
     pub max_connections: usize,
     /// Period of the background anti-entropy pass: the router sweeps
     /// every backend's `inventory`, re-seeds structures a replica has
-    /// lost, and replicates hypothesis bindings ahead of need. `None`
+    /// lost, and re-solves hypotheses it lacks ahead of need. `None`
     /// disables the pass (repair then happens only lazily, on the
     /// request path).
     pub repair_interval: Option<Duration>,
@@ -150,15 +152,13 @@ struct StructureEntry {
     replicas: Vec<usize>,
 }
 
-/// A router-assigned hypothesis: which structure it belongs to, the
-/// solve that produced it, and the backend-local ids it is known under.
+/// A hypothesis the router has seen solved: which structure it
+/// belongs to and the solve that derives it.
 struct BoundHyp {
     structure: u64,
-    /// The original solve request, replayed verbatim to rebind the
-    /// hypothesis on a replica that has never seen it.
+    /// The original solve request, replayed verbatim to re-derive the
+    /// hypothesis on a replica that lacks it.
     solve: Request,
-    /// backend index → that backend's local hypothesis id.
-    bindings: HashMap<usize, u64>,
 }
 
 struct RouterState {
@@ -170,7 +170,6 @@ struct RouterState {
     retry: RetryPolicy,
     structures: Mutex<HashMap<u64, StructureEntry>>,
     hyps: Mutex<HashMap<u64, BoundHyp>>,
-    next_hyp: AtomicU64,
     /// Monotone selection counter driving the ejected-backend probe.
     selection_tick: AtomicU64,
     /// Span/trace id allocator for stitched traces.
@@ -209,8 +208,8 @@ impl RouterState {
         let health = &self.backends[bi].health;
         if ok {
             health.record_ok();
-        } else if health.record_failure() {
-            folearn_obs::count(folearn_obs::Counter::Failovers, 1);
+        } else {
+            health.record_failure();
         }
     }
 
@@ -333,7 +332,6 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
         retry: config.retry.clone(),
         structures: Mutex::new(HashMap::new()),
         hyps: Mutex::new(HashMap::new()),
-        next_hyp: AtomicU64::new(1),
         selection_tick: AtomicU64::new(1),
         next_trace: AtomicU64::new(1),
         trace_enabled: config.trace,
@@ -450,8 +448,8 @@ fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
             }
             Response::Stats { data }
         }
-        // The router's own inventory: its placement table and
-        // router-assigned hypothesis ids. Lets an operator (or an outer
+        // The router's own inventory: its placement table and the
+        // hypothesis ids it has seen solved. Lets an operator (or an outer
         // router tier) diff the front door the same way the front door
         // diffs its backends.
         Request::Inventory => {
@@ -691,7 +689,6 @@ where
                 Ok(m) => m,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     state.metrics.record_hedge(false);
-                    folearn_obs::count(folearn_obs::Counter::HedgesFired, 1);
                     launch(&mut attempts, next, "hedge");
                     next += 1;
                     outstanding += 1;
@@ -723,7 +720,6 @@ where
                 state.note_result(candidates[rank], true);
                 if is_hedge {
                     state.metrics.record_hedge(true);
-                    folearn_obs::count(folearn_obs::Counter::HedgesWon, 1);
                 }
                 return Ok(Winner {
                     response,
@@ -737,7 +733,9 @@ where
                 if let Some(slot) = attempts.iter_mut().find(|a| a.rank == rank) {
                     slot.outcome = AttemptOutcome::Failed(e.to_string());
                 }
-                state.note_result(candidates[rank], false);
+                // A deterministic rejection is a healthy backend's
+                // answer; only a transport failure strikes its health.
+                state.note_result(candidates[rank], !is_transport(&e));
                 outstanding -= 1;
                 if !is_transport(&e) {
                     // Deterministic rejection: every replica would say
@@ -749,7 +747,6 @@ where
                 }
                 if next < candidates.len() {
                     state.metrics.add("replica_retries", 1);
-                    folearn_obs::count(folearn_obs::Counter::ReplicaRetries, 1);
                     launch(&mut attempts, next, "failover");
                     next += 1;
                     outstanding += 1;
@@ -801,7 +798,7 @@ fn call_with_reseed(
 ) -> Result<Response, ClientError> {
     let mut client = state.checkout(bi)?;
     let mut resp = client.call(req);
-    if is_unknown_structure(&resp) {
+    if rejected_with(&resp, &["unknown_structure"]) {
         events.lock().push((bi, "router.reseed"));
         client.register(graph_text)?;
         resp = client.call(req);
@@ -811,24 +808,9 @@ fn call_with_reseed(
     Ok(resp)
 }
 
-fn is_unknown_structure(r: &Result<Response, ClientError>) -> bool {
-    matches!(
-        r,
-        Err(ClientError::Server {
-            code: Some(c),
-            ..
-        }) if c == "unknown_structure"
-    )
-}
-
-fn is_stale_binding(r: &Result<Response, ClientError>) -> bool {
-    matches!(
-        r,
-        Err(ClientError::Server {
-            code: Some(c),
-            ..
-        }) if c == "unknown_structure" || c == "unknown_hypothesis"
-    )
+/// Whether `r` is a server rejection coded with one of `codes`.
+fn rejected_with(r: &Result<Response, ClientError>, codes: &[&str]) -> bool {
+    matches!(r, Err(ClientError::Server { code: Some(c), .. }) if codes.contains(&c.as_str()))
 }
 
 fn handle_solve(state: &Arc<RouterState>, req: Request) -> Response {
@@ -869,31 +851,25 @@ fn handle_solve(state: &Arc<RouterState>, req: Request) -> Response {
         Ok(w) => {
             let prov = provenance(state, &w);
             let Winner {
-                response,
-                attempts,
-                backend,
-                ..
+                response, attempts, ..
             } = w;
             match response {
                 Response::Solved(mut outcome) => {
                     state.metrics.record_cache_event(outcome.cached);
-                    let backend_id = outcome.hypothesis.id;
-                    let router_id = state.next_hyp.fetch_add(1, Ordering::SeqCst);
-                    // The stored replay request carries no trace context:
-                    // a later rebind is its own story, not this solve's.
-                    let mut solve_for_bind = req;
-                    if let Request::Solve { trace, .. } = &mut solve_for_bind {
-                        *trace = None;
-                    }
-                    state.hyps.lock().insert(
-                        router_id,
-                        BoundHyp {
-                            structure,
-                            solve: solve_for_bind,
-                            bindings: HashMap::from([(backend, backend_id)]),
-                        },
-                    );
-                    outcome.hypothesis.id = router_id;
+                    state
+                        .hyps
+                        .lock()
+                        .entry(outcome.hypothesis.id)
+                        .or_insert_with(|| {
+                            // The stored replay request carries no trace
+                            // context: a later rebind is its own story,
+                            // not this solve's.
+                            let mut solve = req;
+                            if let Request::Solve { trace, .. } = &mut solve {
+                                *trace = None;
+                            }
+                            BoundHyp { structure, solve }
+                        });
                     if want_trace {
                         let backend_trace = outcome.trace.take();
                         outcome.trace = Some(stitch_trace(
@@ -1118,13 +1094,14 @@ fn handle_evaluate(
     }
 }
 
-/// Evaluate a router hypothesis on one backend, creating the
-/// backend-local binding first if this replica has never solved it.
+/// Evaluate a hypothesis on one backend. A replica that lacks the
+/// hypothesis (or its structure) is repaired by [`rebind`] and the call
+/// retried once.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_on(
     state: &Arc<RouterState>,
     bi: usize,
-    router_id: u64,
+    hypothesis: u64,
     structure: u64,
     solve_req: &Request,
     graph_text: &str,
@@ -1133,61 +1110,52 @@ fn evaluate_on(
     events: &EventLog,
 ) -> Result<Response, ClientError> {
     let mut client = state.checkout(bi)?;
-    let binding = {
-        let hyps = state.hyps.lock();
-        hyps.get(&router_id).and_then(|b| b.bindings.get(&bi).copied())
-    };
-    let backend_hyp = match binding {
-        Some(id) => id,
-        None => rebind(state, &mut client, bi, router_id, solve_req, graph_text, events)?,
-    };
-    let eval = |hyp: u64| Request::Evaluate {
+    let eval = Request::Evaluate {
         structure,
-        hypothesis: hyp,
+        hypothesis,
         tuples: tuples.to_vec(),
         labels: labels.clone(),
     };
-    let mut resp = client.call(&eval(backend_hyp));
-    if is_stale_binding(&resp) {
-        // The backend restarted between binding and call: re-seed the
-        // structure, re-solve, and retry with the fresh id.
-        let fresh = rebind(state, &mut client, bi, router_id, solve_req, graph_text, events)?;
-        resp = client.call(&eval(fresh));
+    let mut resp = client.call(&eval);
+    if rejected_with(&resp, &["unknown_structure", "unknown_hypothesis"]) {
+        // The replica never solved this hypothesis, or restarted
+        // without it: re-derive it there and retry.
+        rebind(&mut client, bi, hypothesis, solve_req, graph_text, events)?;
+        resp = client.call(&eval);
     }
     let resp = resp?;
     state.checkin(bi, client);
     Ok(resp)
 }
 
-/// Replay the original solve on backend `bi` to obtain a local id for a
-/// router hypothesis. Deterministic solver + canonical structure text
-/// mean the replay reproduces the original hypothesis exactly (and the
-/// backend's result cache makes repeats cheap).
-#[allow(clippy::too_many_arguments)]
+/// Replay the original solve on backend `bi` so it holds `hypothesis`,
+/// re-seeding the structure first if the backend lost it.
+/// Deterministic solver + canonical structure text mean the replay
+/// reproduces the original hypothesis under the same content-addressed
+/// id (and the backend's result cache makes repeats cheap); a different
+/// id is reported as [`ClientError::Unexpected`].
 fn rebind(
-    state: &Arc<RouterState>,
     client: &mut RetryingClient,
     bi: usize,
-    router_id: u64,
+    hypothesis: u64,
     solve_req: &Request,
     graph_text: &str,
     events: &EventLog,
-) -> Result<u64, ClientError> {
+) -> Result<(), ClientError> {
     events.lock().push((bi, "router.rebind"));
     let mut resp = client.call(solve_req);
-    if is_unknown_structure(&resp) {
+    if rejected_with(&resp, &["unknown_structure"]) {
         events.lock().push((bi, "router.reseed"));
         client.register(graph_text)?;
         resp = client.call(solve_req);
     }
     match resp? {
-        Response::Solved(outcome) => {
-            let id = outcome.hypothesis.id;
-            if let Some(b) = state.hyps.lock().get_mut(&router_id) {
-                b.bindings.insert(bi, id);
-            }
-            Ok(id)
-        }
+        Response::Solved(outcome) if outcome.hypothesis.id == hypothesis => Ok(()),
+        Response::Solved(outcome) => Err(ClientError::Unexpected(format!(
+            "re-solving hypothesis {} gave {}",
+            hex64(hypothesis),
+            hex64(outcome.hypothesis.id)
+        ))),
         other => Err(ClientError::Unexpected(format!(
             "wanted `solved` while rebinding, got `{}`",
             other.encode()
@@ -1205,11 +1173,11 @@ fn rebind(
 /// * A structure placed on the backend but missing from its inventory
 ///   (it restarted without durable state) is re-seeded from the stored
 ///   canonical text — counted as `repairs_performed`.
-/// * A hypothesis whose structure is placed on the backend but which is
-///   unbound there — or bound to a local id the backend no longer
-///   knows — is re-solved proactively, counted as `rebinds_avoided`:
-///   each binding replicated here is one lazy evaluate-time re-solve
-///   that will now never happen.
+/// * A hypothesis whose structure is placed on the backend but whose id
+///   is missing from its inventory is re-solved proactively, counted as
+///   `rebinds_avoided`: each one re-derived here is one lazy
+///   evaluate-time re-solve that will now never happen. A durable
+///   backend that replayed its WAL lacks nothing, so it costs none.
 ///
 /// The sweep doubles as an active health probe: transport failures
 /// strike the backend's health, and a successful exchange restores an
@@ -1287,7 +1255,7 @@ fn repair_backend(
     }
 
     let events: EventLog = Arc::new(Mutex::new(Vec::new()));
-    for (router_id, structure, solve_req) in hyps {
+    for (id, structure, solve_req) in hyps {
         let Some(entry) = structures
             .iter()
             .find(|(h, _)| h == structure)
@@ -1295,30 +1263,10 @@ fn repair_backend(
         else {
             continue;
         };
-        if !entry.replicas.contains(&bi) {
+        if !entry.replicas.contains(&bi) || have_ids.contains(id) {
             continue;
         }
-        let bound = {
-            let tables = state.hyps.lock();
-            tables
-                .get(router_id)
-                .and_then(|b| b.bindings.get(&bi).copied())
-        };
-        // A binding to a local id the backend still knows is healthy —
-        // notably a durable backend that replayed its WAL keeps its
-        // ids, so its bindings survive a restart untouched.
-        if bound.is_some_and(|id| have_ids.contains(&id)) {
-            continue;
-        }
-        match rebind(
-            state,
-            &mut client,
-            bi,
-            *router_id,
-            solve_req,
-            &entry.graph_text,
-            &events,
-        ) {
+        match rebind(&mut client, bi, *id, solve_req, &entry.graph_text, &events) {
             Ok(_) => {
                 state.metrics.add("rebinds_avoided", 1);
                 state.note_result(bi, true);

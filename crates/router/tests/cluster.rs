@@ -283,7 +283,7 @@ fn front_door_speaks_the_protocol_with_cluster_extensions() {
     }
 
     // Solve: the reply carries provenance naming a real backend, and the
-    // hypothesis id is router-assigned and usable.
+    // backend's content-addressed hypothesis id is usable.
     let examples = vec![
         WireExample {
             tuple: vec![0],
@@ -304,7 +304,7 @@ fn front_door_speaks_the_protocol_with_cluster_extensions() {
         "canonical keys ride along"
     );
 
-    // Evaluate against the router id.
+    // Evaluate against that id.
     let tuples: Vec<Vec<u32>> = (0..8).map(|v| vec![v]).collect();
     let (preds, _) = c
         .evaluate(structure, outcome.hypothesis.id, tuples, None)
@@ -804,4 +804,69 @@ fn the_router_counts_its_connections_under_the_backends_names() {
     }
     router.shutdown();
     backend.shutdown();
+}
+
+#[test]
+fn deterministic_rejections_do_not_eject_a_healthy_backend() {
+    let (router, backend) = router_with(RouterConfig::default());
+    let mut c = Client::connect(router.addr()).expect("connect");
+    let structure = c
+        .register(&io::to_text(&colored_path(8, 4)))
+        .expect("register through the router");
+    // Three rejections reach the default ejection threshold; each is
+    // the backend's answer, not a failure of the backend.
+    for _ in 0..3 {
+        match c.modelcheck(structure, "exists x0. Green(x0)") {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code.as_deref(), Some("bad_formula")),
+            other => panic!("expected a bad_formula error, got {other:?}"),
+        }
+    }
+    let stats = c.stats().expect("router stats");
+    assert_eq!(stats.get("failovers").and_then(Json::as_usize), Some(0));
+    let row = &stats.get("backends").and_then(Json::as_arr).expect("backend rows")[0];
+    assert_eq!(row.get("live").and_then(Json::as_bool), Some(true), "{row:?}");
+    assert!(c.modelcheck(structure, "exists x0. Red(x0)").expect("a valid modelcheck"));
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn identical_solves_through_the_router_share_the_backends_id() {
+    let (addrs, by_addr) = spawn_backends(2);
+    let router = router_over(addrs.clone(), 2);
+    let text = io::to_text(&colored_path(8, 4));
+    let examples = vec![
+        WireExample {
+            tuple: vec![0],
+            label: false,
+        },
+        WireExample {
+            tuple: vec![1],
+            label: true,
+        },
+    ];
+    let mut c = Client::connect(router.addr()).expect("connect");
+    let structure = c.register(&text).expect("register through the router");
+    let ids: Vec<u64> = (0..12)
+        .map(|_| {
+            c.solve(structure, examples.clone(), 1, 0, 0.25, SolverSpec::default_brute())
+                .expect("solve through the router")
+                .hypothesis
+                .id
+        })
+        .collect();
+    assert!(ids.iter().all(|&id| id == ids[0]), "one solve, one id: {ids:?}");
+    let mut direct = Client::connect(addrs[0].as_str()).expect("connect to a backend");
+    assert_eq!(direct.register(&text).expect("direct register"), structure);
+    let direct_id = direct
+        .solve(structure, examples, 1, 0, 0.25, SolverSpec::default_brute())
+        .expect("direct solve")
+        .hypothesis
+        .id;
+    assert_eq!(ids[0], direct_id, "the router passes the backend's id through");
+    assert_eq!(router_counter(&router, "hypotheses"), 1);
+    router.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
 }

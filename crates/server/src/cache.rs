@@ -1,7 +1,8 @@
 //! The LRU result cache.
 //!
-//! Solve results are keyed by `(structure hash, sample hash, solver
-//! config hash)` — exactly the identity of a repeated ERM oracle call,
+//! Solve results are keyed by the solve's content address
+//! ([`crate::proto::hypothesis_id`] over structure, sample and solver
+//! config) — exactly the identity of a repeated ERM oracle call,
 //! which is the access pattern of `folearn_hardness::oracle` (the
 //! reduction re-queries the same pair instances across levels) and of
 //! any client re-fitting against a fixed background structure. A hit
@@ -17,16 +18,13 @@
 //!
 //! [`ShardedCache`] and [`ShardedMap`] wrap the LRU and the plain
 //! registry map in N independently locked shards selected by a
-//! splitmix64 finalizer over the content-hash key, so concurrent
+//! splitmix64 finalizer over the `u64` content-hash key, so concurrent
 //! lookups from the event loop and the worker pool stop serializing on
 //! one mutex.
 
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
-
-/// Cache key: `(structure hash, sample hash, config hash)`.
-pub type CacheKey = (u64, u64, u64);
 
 struct Entry<V> {
     value: V,
@@ -35,7 +33,7 @@ struct Entry<V> {
 
 /// A fixed-capacity least-recently-used map.
 pub struct LruCache<V> {
-    map: HashMap<CacheKey, Entry<V>>,
+    map: HashMap<u64, Entry<V>>,
     capacity: usize,
     clock: u64,
     hits: u64,
@@ -58,9 +56,9 @@ impl<V> LruCache<V> {
     }
 
     /// Look up a key, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<&V> {
+    pub fn get(&mut self, key: u64) -> Option<&V> {
         self.clock += 1;
-        match self.map.get_mut(key) {
+        match self.map.get_mut(&key) {
             Some(e) => {
                 e.stamp = self.clock;
                 self.hits += 1;
@@ -74,7 +72,7 @@ impl<V> LruCache<V> {
     }
 
     /// Insert a value, evicting the least-recently-used entry if full.
-    pub fn insert(&mut self, key: CacheKey, value: V) {
+    pub fn insert(&mut self, key: u64, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -125,11 +123,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Mix a composite cache key down to one shard-selection hash.
-fn mix_key(key: &CacheKey) -> u64 {
-    splitmix64(key.0 ^ key.1.rotate_left(21) ^ key.2.rotate_left(42))
-}
-
 /// An LRU result cache split into independently locked shards.
 ///
 /// Capacity is divided evenly across shards (any remainder goes to the
@@ -153,20 +146,20 @@ impl<V: Clone> ShardedCache<V> {
         Self { shards }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<LruCache<V>> {
-        &self.shards[(mix_key(key) % self.shards.len() as u64) as usize]
+    fn shard(&self, key: u64) -> &Mutex<LruCache<V>> {
+        &self.shards[(splitmix64(key) % self.shards.len() as u64) as usize]
     }
 
     /// Look up a key (refreshing its recency in its shard), cloning the
     /// value out so the shard lock is held only for the lookup.
-    pub fn get(&self, key: &CacheKey) -> Option<V> {
+    pub fn get(&self, key: u64) -> Option<V> {
         self.shard(key).lock().get(key).cloned()
     }
 
     /// Insert a value into the key's shard, evicting within that shard
     /// if it is full.
-    pub fn insert(&self, key: CacheKey, value: V) {
-        self.shard(&key).lock().insert(key, value);
+    pub fn insert(&self, key: u64, value: V) {
+        self.shard(key).lock().insert(key, value);
     }
 
     /// Total entries across all shards.
@@ -254,29 +247,25 @@ impl<V: Clone> ShardedMap<V> {
 mod tests {
     use super::*;
 
-    fn k(i: u64) -> CacheKey {
-        (i, 0, 0)
-    }
-
     #[test]
     fn hit_returns_inserted_value() {
         let mut c = LruCache::new(4);
-        assert!(c.get(&k(1)).is_none());
-        c.insert(k(1), "one");
-        assert_eq!(c.get(&k(1)), Some(&"one"));
+        assert!(c.get(1).is_none());
+        c.insert(1, "one");
+        assert_eq!(c.get(1), Some(&"one"));
         assert_eq!(c.counters(), (1, 1, 0));
     }
 
     #[test]
     fn evicts_least_recently_used() {
         let mut c = LruCache::new(2);
-        c.insert(k(1), 1);
-        c.insert(k(2), 2);
-        assert!(c.get(&k(1)).is_some()); // refresh 1; 2 is now LRU
-        c.insert(k(3), 3);
-        assert!(c.get(&k(2)).is_none(), "2 should have been evicted");
-        assert!(c.get(&k(1)).is_some());
-        assert!(c.get(&k(3)).is_some());
+        c.insert(1, 1);
+        c.insert(2, 2);
+        assert!(c.get(1).is_some()); // refresh 1; 2 is now LRU
+        c.insert(3, 3);
+        assert!(c.get(2).is_none(), "2 should have been evicted");
+        assert!(c.get(1).is_some());
+        assert!(c.get(3).is_some());
         assert_eq!(c.len(), 2);
         assert_eq!(c.counters().2, 1);
     }
@@ -284,19 +273,19 @@ mod tests {
     #[test]
     fn reinsert_does_not_evict() {
         let mut c = LruCache::new(2);
-        c.insert(k(1), 1);
-        c.insert(k(2), 2);
-        c.insert(k(2), 22);
+        c.insert(1, 1);
+        c.insert(2, 2);
+        c.insert(2, 22);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(&k(2)), Some(&22));
-        assert!(c.get(&k(1)).is_some());
+        assert_eq!(c.get(2), Some(&22));
+        assert!(c.get(1).is_some());
     }
 
     #[test]
     fn zero_capacity_disables() {
         let mut c = LruCache::new(0);
-        c.insert(k(1), 1);
-        assert!(c.get(&k(1)).is_none());
+        c.insert(1, 1);
+        assert!(c.get(1).is_none());
         assert!(c.is_empty());
     }
 
@@ -304,12 +293,12 @@ mod tests {
     fn sharded_cache_agrees_with_a_flat_lru_on_lookups() {
         let sharded = ShardedCache::new(64, 8);
         for i in 0..40u64 {
-            sharded.insert((i, i.wrapping_mul(3), 7), i);
+            sharded.insert(i.wrapping_mul(0x9e37_79b9), i);
         }
         for i in 0..40u64 {
-            assert_eq!(sharded.get(&(i, i.wrapping_mul(3), 7)), Some(i));
+            assert_eq!(sharded.get(i.wrapping_mul(0x9e37_79b9)), Some(i));
         }
-        assert!(sharded.get(&(99, 0, 7)).is_none());
+        assert!(sharded.get(99).is_none());
         assert_eq!(sharded.len(), 40);
         let (hits, misses, _) = sharded.counters();
         assert_eq!((hits, misses), (40, 1));
@@ -322,7 +311,7 @@ mod tests {
         // the key distribution, the total can never exceed 10.
         let sharded = ShardedCache::new(10, 4);
         for i in 0..1000u64 {
-            sharded.insert((i, 1, 2), i);
+            sharded.insert(i, i);
         }
         assert!(sharded.len() <= 10, "len {} exceeds capacity", sharded.len());
         assert!(sharded.counters().2 > 0, "evictions must have happened");
@@ -331,8 +320,8 @@ mod tests {
     #[test]
     fn sharded_cache_zero_capacity_disables() {
         let sharded: ShardedCache<u64> = ShardedCache::new(0, 8);
-        sharded.insert(k(1), 1);
-        assert!(sharded.get(&k(1)).is_none());
+        sharded.insert(1, 1);
+        assert!(sharded.get(1).is_none());
         assert!(sharded.is_empty());
     }
 
@@ -342,7 +331,7 @@ mod tests {
         // finalizer must still spread them over the shards.
         let sharded = ShardedCache::new(256, 8);
         for i in 0..256u64 {
-            sharded.insert((i, 0, 0), i);
+            sharded.insert(i, i);
         }
         let used = (0..8)
             .filter(|&s| !sharded.shards[s].lock().is_empty())

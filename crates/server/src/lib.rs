@@ -5,7 +5,8 @@
 //! offline and the workspace has no serde):
 //!
 //! * [`proto`] — wire format: framing, the [`proto::Json`] value type,
-//!   request/response envelopes, FNV-1a content hashing;
+//!   request/response envelopes, FNV-1a content hashing of structures
+//!   and solves;
 //! * [`server`] — the daemon: structure registry, bounded worker pool
 //!   dispatch, sharded LRU result cache, metrics (a
 //!   [`folearn_obs::Registry`]), graceful shutdown;
@@ -37,11 +38,12 @@
 //! across levels. Serving that interface over a socket (a) makes the
 //! oracle a process boundary, so learners can run on a different
 //! machine or with different resource limits than the reduction, and
-//! (b) makes repeated instances visible to a result cache keyed by
-//! `(structure, sample, solver config)` — and because the brute-force
-//! engine is deterministic, cached answers are *identical* to fresh
-//! ones, so `folearn_hardness::oracle::RemoteOracle` against a loopback
-//! daemon reproduces the in-process reduction bit for bit.
+//! (b) makes repeated instances visible to a result cache keyed by the
+//! content hash of `(structure, sample, solver config)` — and because
+//! the brute-force engine is deterministic, cached answers are
+//! *identical* to fresh ones, so `folearn_hardness::oracle::RemoteOracle`
+//! against a loopback daemon reproduces the in-process reduction bit
+//! for bit.
 
 pub mod cache;
 pub mod chaos;
@@ -60,7 +62,7 @@ pub use client::{
 };
 pub use loadgen::{run_load, run_load_multi, LoadgenConfig, LoadReport};
 pub use proto::{
-    fnv1a64, hex64, parse_hex64, Json, ProtoError, Request, Response, SolveOutcome, SolverSpec,
-    TraceContext, WireBinding, WireExample, WireHypothesis, WireProvenance,
+    fnv1a64, hex64, hypothesis_id, parse_hex64, Json, ProtoError, Request, Response, SolveOutcome,
+    SolverSpec, TraceContext, WireBinding, WireExample, WireHypothesis, WireProvenance,
 };
 pub use server::{start, ServerConfig, ServerHandle};

@@ -33,6 +33,34 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The content address of a solve, which is the id of the hypothesis
+/// it derives: FNV-1a over the structure hash, the sample, ℓ, q, the
+/// bits of ε and the rendered [`SolverSpec`] (never the trace context).
+/// The learners are deterministic, so every daemon, replica and restart
+/// names the same solve alike.
+pub fn hypothesis_id(
+    structure: u64,
+    examples: &[WireExample],
+    ell: usize,
+    q: usize,
+    epsilon: f64,
+    solver: &SolverSpec,
+) -> u64 {
+    let mut bytes = structure.to_le_bytes().to_vec();
+    for e in examples {
+        bytes.extend_from_slice(&(e.tuple.len() as u32).to_le_bytes());
+        for &v in &e.tuple {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.push(u8::from(e.label));
+    }
+    bytes.extend_from_slice(&(ell as u64).to_le_bytes());
+    bytes.extend_from_slice(&(q as u64).to_le_bytes());
+    bytes.extend_from_slice(&epsilon.to_bits().to_le_bytes());
+    bytes.extend_from_slice(solver.to_json().render().as_bytes());
+    fnv1a64(&bytes)
+}
+
 /// Render a 64-bit id as the fixed-width hex string used on the wire.
 pub fn hex64(x: u64) -> String {
     format!("{x:016x}")
@@ -120,7 +148,7 @@ impl SolverSpec {
     }
 
     /// Render as protocol JSON (also the canonical form hashed into
-    /// solve-cache keys).
+    /// hypothesis ids).
     pub fn to_json(&self) -> Json {
         match self {
             SolverSpec::Brute {
@@ -242,7 +270,7 @@ pub enum Request {
         /// Which solver to run.
         solver: SolverSpec,
         /// Distributed-trace context from the caller, if any. NOT part
-        /// of the solve-cache key: tracing never changes answers.
+        /// of the hypothesis id: tracing never changes answers.
         trace: Option<TraceContext>,
     },
     /// Evaluate a stored hypothesis on tuples (optionally labelled, in
@@ -250,7 +278,7 @@ pub enum Request {
     Evaluate {
         /// Content hash of the registered structure to evaluate over.
         structure: u64,
-        /// Server-assigned hypothesis id (from a `solved` response).
+        /// Hypothesis id (from a `solved` response).
         hypothesis: u64,
         /// Tuples to classify.
         tuples: Vec<Vec<u32>>,
@@ -505,16 +533,16 @@ pub struct SolveOutcome {
     pub provenance: Option<WireProvenance>,
 }
 
-/// A learned hypothesis on the wire. The `types` ids are relative to the
-/// server's per-vocabulary arena: stable across calls within one server
-/// lifetime (so clients can group equal answers), meaningless elsewhere.
-/// The `type_keys` are the *canonical* content hashes of the same types
+/// A learned hypothesis on the wire. The `type_keys` are the
+/// *canonical* content hashes of its positive types
 /// (`folearn_types::canon`): backend-independent, so a client talking to
 /// a cluster can recognise the same hypothesis regardless of which
-/// replica answered.
+/// replica answered. Older peers also sent arena-relative `types` ids;
+/// the decoder ignores them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireHypothesis {
-    /// Server-assigned id for follow-up `evaluate` calls.
+    /// The solve's content address ([`hypothesis_id`]), for follow-up
+    /// `evaluate` calls on any daemon that holds the hypothesis.
     pub id: u64,
     /// The parameter tuple `w̄`.
     pub params: Vec<u32>,
@@ -522,8 +550,6 @@ pub struct WireHypothesis {
     pub q: usize,
     /// Type mode string (`TypeMode` display form).
     pub mode: String,
-    /// Positive type ids in the server's arena, sorted.
-    pub types: Vec<u32>,
     /// Canonical (arena-independent) keys of the positive types, sorted.
     /// Empty when the message came from a pre-cluster server.
     pub type_keys: Vec<u64>,
@@ -542,10 +568,6 @@ impl WireHypothesis {
             ("q", Json::int(self.q)),
             ("mode", Json::str(self.mode.clone())),
             (
-                "types",
-                Json::Arr(self.types.iter().map(|&t| Json::int(t as usize)).collect()),
-            ),
-            (
                 "type_keys",
                 Json::Arr(self.type_keys.iter().map(|&k| Json::str(hex64(k))).collect()),
             ),
@@ -559,7 +581,6 @@ impl WireHypothesis {
             params: get_u32_arr(v, "params")?,
             q: get_usize(v, "q")?,
             mode: get_str(v, "mode")?.to_string(),
-            types: get_u32_arr(v, "types")?,
             type_keys: get_hex_arr_opt(v, "type_keys")?,
             describe: get_str(v, "describe")?.to_string(),
         })
@@ -597,11 +618,11 @@ impl WireProvenance {
     }
 }
 
-/// One hypothesis binding in an `inventory` reply: the server-assigned
-/// id and the content hash of the structure it was learned on.
+/// One hypothesis binding in an `inventory` reply: the hypothesis id
+/// and the content hash of the structure it was learned on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireBinding {
-    /// Server-assigned hypothesis id.
+    /// Hypothesis id.
     pub id: u64,
     /// Content hash of the structure the hypothesis lives on.
     pub structure: u64,
@@ -1099,7 +1120,6 @@ mod tests {
                     params: vec![7, 0],
                     q: 1,
                     mode: "local=2".to_string(),
-                    types: vec![0, 4, 9],
                     type_keys: vec![1, 0xdead_beef_cafe_f00d, u64::MAX],
                     describe: "Hypothesis(3 positive types, params=[V(7)], …)".to_string(),
                 },
@@ -1126,7 +1146,6 @@ mod tests {
                     params: vec![],
                     q: 0,
                     mode: "global".to_string(),
-                    types: vec![],
                     type_keys: vec![],
                     describe: "trivial".to_string(),
                 },
@@ -1221,7 +1240,7 @@ mod tests {
     fn solve_frames_carrying_the_retired_engine_field_still_decode() {
         // Solve frames and WAL records written before the solve-side
         // engine knob was retired carry `"engine":"vm"`. They decode to
-        // the engine-free spec, so they share its solve-cache key.
+        // the engine-free spec, so they share its hypothesis id.
         let old = concat!(
             r#"{"op": "solve", "structure": "0000000000000007", "examples": [], "ell": 0, "#,
             r#""q": 0, "epsilon": 0.5, "solver": {"name": "brute", "mode": "global", "#,
@@ -1278,14 +1297,39 @@ mod tests {
         let legacy = concat!(
             r#"{"resp": "solved", "cached": false, "error": 0.0, "work": 1, "evaluated": 1, "#,
             r#""pruned": 0, "solver": "s", "hypothesis": {"id": "0000000000000001", "#,
-            r#""params": [], "q": 0, "mode": "global", "types": [], "describe": "d"}}"#,
+            r#""params": [], "q": 0, "mode": "global", "types": [0, 4, 9], "describe": "d"}}"#,
         );
+        // Arena-relative `types` ids from older peers are ignored.
         match Response::decode(legacy).unwrap() {
             Response::Solved(o) => {
                 assert_eq!(o.hypothesis.type_keys, Vec::<u64>::new());
                 assert_eq!(o.provenance, None);
+                assert!(!Response::Solved(o).encode().contains("\"types\""));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn hypothesis_ids_separate_every_part_of_the_instance() {
+        let examples = |label| {
+            vec![WireExample {
+                tuple: vec![0, 3],
+                label,
+            }]
+        };
+        let brute = SolverSpec::default_brute();
+        let id = hypothesis_id(7, &examples(true), 1, 1, 0.0, &brute);
+        assert_eq!(id, hypothesis_id(7, &examples(true), 1, 1, 0.0, &brute));
+        for other in [
+            hypothesis_id(8, &examples(true), 1, 1, 0.0, &brute),
+            hypothesis_id(7, &examples(false), 1, 1, 0.0, &brute),
+            hypothesis_id(7, &examples(true), 2, 1, 0.0, &brute),
+            hypothesis_id(7, &examples(true), 1, 2, 0.0, &brute),
+            hypothesis_id(7, &examples(true), 1, 1, 0.25, &brute),
+            hypothesis_id(7, &examples(true), 1, 1, 0.0, &SolverSpec::Nd),
+        ] {
+            assert_ne!(id, other);
         }
     }
 

@@ -25,17 +25,18 @@
 //!
 //! Structures are parsed once at `register` and addressed by the FNV-1a
 //! hash of their *canonical* serialisation (`io::to_text` of the parsed
-//! graph), so textual variants of the same structure dedupe. The
-//! registry, the hypothesis store, and the LRU result cache are
-//! sharded by a splitmix64 finalizer over those content hashes
-//! ([`crate::cache::ShardedMap`] / [`crate::cache::ShardedCache`]), so
-//! concurrent requests stop serializing on one lock. Type arenas are
-//! shared per vocabulary colour count — the same discipline as
-//! `folearn_hardness::oracle::BruteForceOracle` — which makes type ids
-//! (and hence the `types` lists in `solved` responses) comparable
-//! across calls for the lifetime of the daemon. That is what lets a
-//! remote client group equal oracle answers exactly like the
-//! in-process oracle does.
+//! graph), so textual variants of the same structure dedupe. A
+//! hypothesis is addressed the same way, by the content hash of the
+//! solve that derives it ([`crate::proto::hypothesis_id`]): that one id
+//! keys the result cache, in-flight coalescing and the hypothesis
+//! store, and every daemon names the same solve alike whatever its
+//! cache state or restart history. The registry, the hypothesis store,
+//! and the LRU result cache are sharded by a splitmix64 finalizer over
+//! those content hashes ([`crate::cache::ShardedMap`] /
+//! [`crate::cache::ShardedCache`]), so concurrent requests stop
+//! serializing on one lock. Type arenas are shared per vocabulary
+//! colour count — the same discipline as
+//! `folearn_hardness::oracle::BruteForceOracle`.
 //!
 //! # Metrics
 //!
@@ -48,7 +49,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,8 +70,8 @@ use crate::event_loop::{
 };
 use crate::pool::{Job, WorkerPool};
 use crate::proto::{
-    fnv1a64, hex64, Json, Request, Response, SolveOutcome, SolverSpec, TraceContext, WireBinding,
-    WireExample, WireHypothesis,
+    fnv1a64, hex64, hypothesis_id, Json, Request, Response, SolveOutcome, SolverSpec,
+    TraceContext, WireBinding, WireExample, WireHypothesis,
 };
 use crate::snapshot::{Durability, DurableRecord, DEFAULT_SNAPSHOT_EVERY};
 
@@ -183,16 +184,16 @@ struct State {
     graphs: ShardedMap<Arc<Graph>>,
     arenas: Mutex<HashMap<usize, SharedArena>>,
     hypotheses: ShardedMap<Arc<StoredHypothesis>>,
-    next_hypothesis: AtomicU64,
-    /// Solve results plus the instant each entry was captured, so a
-    /// replayed trace can be stamped with its age.
+    /// Solve results, keyed by hypothesis id, plus the instant each
+    /// entry was captured, so a replayed trace can be stamped with its
+    /// age.
     cache: ShardedCache<(SolveOutcome, Instant)>,
-    /// Solve computations currently running on the pool, keyed like the
-    /// result cache. A pipelined duplicate of a solve whose twin has
+    /// Solve computations currently running on the pool, keyed by
+    /// hypothesis id. A pipelined duplicate of a solve whose twin has
     /// been planned but not yet cached attaches its responder here
     /// instead of recomputing; the running job fans its outcome out to
     /// every waiter when it completes.
-    inflight: Mutex<HashMap<(u64, u64, u64), Vec<Responder>>>,
+    inflight: Mutex<HashMap<u64, Vec<Responder>>>,
     metrics: Arc<Registry>,
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
@@ -324,7 +325,6 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         graphs: ShardedMap::new(shards),
         arenas: Mutex::new(HashMap::new()),
         hypotheses: ShardedMap::new(shards),
-        next_hypothesis: AtomicU64::new(1),
         cache: ShardedCache::new(config.cache_capacity, shards),
         inflight: Mutex::new(HashMap::new()),
         metrics: Arc::new(Registry::new("server", &METRICS).with_span_rollup()),
@@ -372,48 +372,24 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
 /// Replay the durable history of `dir` into a freshly built state,
 /// then activate the WAL for new mutations.
 ///
-/// Replay runs single-threaded before any front-door thread exists,
-/// which is what makes id forcing sound: each logged solve stores its
-/// recorded id into `next_hypothesis` so the `fetch_add` inside
-/// [`run_solve`] hands back exactly the pre-crash id, even though
-/// concurrent solves may have been *logged* in completion order rather
-/// than id order.
 /// Replayed solves run through the same [`plan_solve`]/[`run_solve`]
-/// path as live traffic (minus the cache short-circuit, so a re-logged
-/// key after an LRU eviction still reconstructs both store entries),
-/// so arenas, type keys, and the result cache warm exactly as they
-/// stood — recovered state is bit-identical, not merely equivalent.
+/// path as live traffic, so each hypothesis comes back under its
+/// content-addressed id and arenas, type keys, and the result cache
+/// warm exactly as they stood — recovered state is bit-identical, not
+/// merely equivalent.
 fn recover(state: &Arc<State>, dir: &std::path::Path, snapshot_every: usize) -> std::io::Result<()> {
     let started = Instant::now();
     let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
     let (durability, records, stats) = Durability::open(dir, snapshot_every)?;
-    let mut max_id = 0u64;
-    for record in &records {
+    for record in records {
         match record {
             DurableRecord::Register { graph_text } => {
-                if let Response::Error { message, .. } = handle_register(state, graph_text) {
+                if let Response::Error { message, .. } = handle_register(state, &graph_text) {
                     return Err(bad(format!("replay: register failed: {message}")));
                 }
             }
-            DurableRecord::Solve { id, request } => {
-                let Request::Solve {
-                    structure,
-                    examples,
-                    ell,
-                    q,
-                    epsilon,
-                    solver,
-                    ..
-                } = request
-                else {
-                    return Err(bad("replay: solve record without solve request".into()));
-                };
-                state.next_hypothesis.store(*id, Ordering::SeqCst);
-                max_id = max_id.max(*id);
-                let planned = plan_solve(
-                    state, *structure, examples, *ell, *q, *epsilon, solver, None, false,
-                );
-                let response = match planned {
+            DurableRecord::Solve { request } => {
+                let response = match plan_solve(state, request) {
                     Ok(job) => run_solve(state, job),
                     Err(response) => response,
                 };
@@ -423,9 +399,6 @@ fn recover(state: &Arc<State>, dir: &std::path::Path, snapshot_every: usize) -> 
             }
         }
     }
-    state
-        .next_hypothesis
-        .store(max_id.saturating_add(1).max(1), Ordering::SeqCst);
     // Marks the daemon durable: a freshly restarted backend reports its
     // recovery story before its first request.
     state.metrics.set(&[
@@ -456,7 +429,7 @@ struct ServerDispatch {
 /// responder's own drop reply) instead of hanging on a dead entry.
 struct InflightGuard {
     state: Arc<State>,
-    key: (u64, u64, u64),
+    key: u64,
 }
 
 impl InflightGuard {
@@ -501,17 +474,7 @@ impl EventHandler for ServerDispatch {
                 responder.complete(handle_register(&self.state, &graph_text));
                 Dispatch::Accepted
             }
-            Request::Solve {
-                structure,
-                examples,
-                ell,
-                q,
-                epsilon,
-                solver,
-                trace,
-            } => match plan_solve(
-                &self.state, structure, &examples, ell, q, epsilon, &solver, trace, true,
-            ) {
+            req @ Request::Solve { .. } => match plan_solve(&self.state, req) {
                 Err(response) => {
                     responder.complete(response);
                     Dispatch::Accepted
@@ -524,7 +487,7 @@ impl EventHandler for ServerDispatch {
                     // this core exists to fix. Attach the responder to
                     // the running job; it replays the outcome to every
                     // waiter on completion.
-                    let key = job.cache_key;
+                    let key = job.id;
                     {
                         let mut inflight = self.state.inflight.lock();
                         if let Some(waiters) = inflight.get_mut(&key) {
@@ -690,36 +653,38 @@ struct SolveJob {
     epsilon: f64,
     rust_solver: Solver,
     structure: u64,
-    cache_key: (u64, u64, u64),
+    /// The solve's content address: hypothesis id, cache key and
+    /// in-flight key.
+    id: u64,
     trace_ctx: Option<TraceContext>,
-    /// The wire-form `(sample, config)` pair, carried so the completed
-    /// solve can be WAL-logged as a replayable request. The hypothesis
-    /// itself is never persisted — it is derivable from this triple.
-    wire_examples: Vec<WireExample>,
-    solver_spec: SolverSpec,
+    /// The request without its trace context, carried so the completed
+    /// solve can be WAL-logged as a replayable record. The hypothesis
+    /// itself is never persisted — it is derivable from the request.
+    request: Request,
 }
 
 /// Validate a solve request and check the result cache. `Err` is the
 /// immediate response (validation error or cache replay), answered
-/// inline; `Ok` is the prepared compute job. Startup replay passes
-/// `check_cache: false`: a key logged twice (LRU eviction between two
-/// live solves of the same instance) must re-run so the store entry
-/// for the second id is reconstructed, not answered from the cache the
-/// first replay warmed.
+/// inline; `Ok` is the prepared compute job.
 // A large Err is fine here: Err *is* the wire reply (cache replay or
 // validation error), built once and moved straight to the responder.
-#[allow(clippy::too_many_arguments, clippy::result_large_err)]
-fn plan_solve(
-    state: &Arc<State>,
-    structure: u64,
-    examples: &[WireExample],
-    ell: usize,
-    q: usize,
-    epsilon: f64,
-    solver: &SolverSpec,
-    trace_ctx: Option<TraceContext>,
-    check_cache: bool,
-) -> Result<SolveJob, Response> {
+#[allow(clippy::result_large_err)]
+fn plan_solve(state: &Arc<State>, mut request: Request) -> Result<SolveJob, Response> {
+    let Request::Solve {
+        structure,
+        examples,
+        ell,
+        q,
+        epsilon,
+        solver,
+        trace,
+    } = &mut request
+    else {
+        return Err(Response::error("solve: not a solve request"));
+    };
+    let (structure, ell, q, epsilon) = (*structure, *ell, *q, *epsilon);
+    let (examples, solver): (&[WireExample], &SolverSpec) = (examples, solver);
+    let trace_ctx = trace.take();
     let fail = |m: String| Err(Response::error(m));
     let g = match state.graph(structure) {
         Ok(g) => g,
@@ -759,34 +724,14 @@ fn plan_solve(
         }
     }
 
-    // Cache key: structure is already hashed; hash the sample and the
-    // solver configuration through their canonical wire forms.
-    let sample_key = {
-        let mut bytes = Vec::new();
-        for e in examples {
-            bytes.extend_from_slice(&(e.tuple.len() as u32).to_le_bytes());
-            for &v in &e.tuple {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            bytes.push(u8::from(e.label));
-        }
-        bytes.extend_from_slice(&(ell as u64).to_le_bytes());
-        bytes.extend_from_slice(&(q as u64).to_le_bytes());
-        bytes.extend_from_slice(&epsilon.to_bits().to_le_bytes());
-        fnv1a64(&bytes)
-    };
-    let config_key = fnv1a64(solver.to_json().render().as_bytes());
-    let cache_key = (structure, sample_key, config_key);
-
-    if check_cache {
-        if let Some((mut outcome, captured_at)) = state.cache.get(&cache_key) {
-            outcome.cached = true;
-            outcome.trace = outcome
-                .trace
-                .map(|t| stamp_replay(t, captured_at.elapsed()));
-            state.metrics.record_cache_event(true);
-            return Err(Response::Solved(outcome));
-        }
+    let id = hypothesis_id(structure, examples, ell, q, epsilon, solver);
+    if let Some((mut outcome, captured_at)) = state.cache.get(id) {
+        outcome.cached = true;
+        outcome.trace = outcome
+            .trace
+            .map(|t| stamp_replay(t, captured_at.elapsed()));
+        state.metrics.record_cache_event(true);
+        return Err(Response::Solved(outcome));
     }
     // The miss is recorded by the caller: the dispatcher first checks
     // the in-flight table, where a coalesced duplicate still counts as
@@ -823,10 +768,9 @@ fn plan_solve(
         epsilon,
         rust_solver,
         structure,
-        cache_key,
+        id,
         trace_ctx,
-        wire_examples: examples.to_vec(),
-        solver_spec: solver.clone(),
+        request,
     })
 }
 
@@ -845,10 +789,10 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
     }
     let inst = ErmInstance::new(&job.g, job.seq, job.k, job.ell, job.q, job.epsilon);
     let report = solve_fo_erm(&inst, &job.rust_solver, &job.arena);
-    let id = state.next_hypothesis.fetch_add(1, Ordering::SeqCst);
+    let id = job.id;
     let h = &report.hypothesis;
     // Canonical keys make the hypothesis recognisable across
-    // backends: arena-relative `types` differ between servers, the
+    // backends: arena-relative type ids differ between servers, the
     // content hashes do not.
     let type_keys = {
         let arena = h.arena().lock();
@@ -860,31 +804,25 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
         params: h.params().iter().map(|v| v.0).collect(),
         q: h.q,
         mode: h.mode.to_string(),
-        types: h.positive_types().iter().map(|t| t.0).collect(),
         type_keys,
         describe: h.describe(),
     };
-    state.hypotheses.insert(
+    let fresh = state.hypotheses.insert(
         id,
         Arc::new(StoredHypothesis {
             hypothesis: report.hypothesis.clone(),
             structure: job.structure,
         }),
     );
-    // WAL the derivation triple before the response can be sent: once a
-    // client sees this id, the id survives `kill -9`.
-    state.persist(&DurableRecord::Solve {
-        id,
-        request: Request::Solve {
-            structure: job.structure,
-            examples: job.wire_examples,
-            ell: job.ell,
-            q: job.q,
-            epsilon: job.epsilon,
-            solver: job.solver_spec,
-            trace: None,
-        },
-    });
+    if fresh {
+        // WAL the derivation triple before the response can be sent:
+        // once a client sees this id, the id survives `kill -9`. A
+        // re-run after a cache eviction re-derives an id already
+        // logged, so it writes nothing.
+        state.persist(&DurableRecord::Solve {
+            request: job.request,
+        });
+    }
     state.metrics.add("solver.evaluated_params", report.evaluated_params as u64);
     state.metrics.add("solver.pruned_params", report.pruned_params as u64);
     let trace = sp.finish().map(|rec| {
@@ -899,9 +837,7 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
         trace,
         provenance: None,
     };
-    state
-        .cache
-        .insert(job.cache_key, (outcome.clone(), Instant::now()));
+    state.cache.insert(id, (outcome.clone(), Instant::now()));
     Response::Solved(outcome)
 }
 

@@ -7,15 +7,18 @@
 //! * a `register` record carries the structure's canonical graph text
 //!   (its content hash is re-derived on replay);
 //! * a `solve` record carries the `(structure, sample, config)` triple
-//!   plus the hypothesis id the live server assigned. The hypothesis
-//!   itself is **derivable** — the learner is deterministic — so replay
-//!   re-runs the solve and provably reconstructs bit-identical state,
-//!   the same invariant E19/E21 gate over the network.
+//!   and nothing else. The hypothesis and its id are both **derivable**
+//!   — the learner is deterministic and the id is the solve's content
+//!   address ([`crate::proto::hypothesis_id`]) — so replay re-runs the
+//!   solve and provably reconstructs bit-identical state, the same
+//!   invariant E19/E21 gate over the network. Records written by older
+//!   daemons also carry an `id`; it is ignored.
 //!
 //! Records are protocol-JSON payloads inside WAL frames, and the
 //! snapshot file uses the *same* framing: a snapshot is just a
-//! compacted log (registers deduplicated, solves in id order), so one
-//! reader handles both files. Compaction writes `snapshot.tmp`, fsyncs
+//! compacted log (registers deduplicated by structure hash, solves by
+//! hypothesis id, each kept in first-logged order), so one reader
+//! handles both files. Compaction writes `snapshot.tmp`, fsyncs
 //! it, renames it over `snapshot.log`, fsyncs the directory, then
 //! truncates `wal.log` — crash-safe at every step because rename is
 //! atomic and the WAL is only emptied after the snapshot is durable.
@@ -30,12 +33,12 @@
 //! The result cache is deliberately volatile: entries are pure
 //! functions of durable state and re-warm on replay for free.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::proto::{fnv1a64, hex64, parse_hex64, Json, Request};
+use crate::proto::{fnv1a64, hypothesis_id, Json, Request};
 use crate::wal::{encode_frame, read_log, Wal};
 
 /// Snapshot file name inside the data dir.
@@ -53,12 +56,10 @@ pub enum DurableRecord {
         /// The canonical graph text whose FNV-1a hash addresses it.
         graph_text: String,
     },
-    /// A hypothesis was learned: the solve request that produced it
-    /// plus the id the server assigned. Replay re-runs the request with
-    /// the id forced, reconstructing the identical store entry.
+    /// A hypothesis was learned: the solve request that produced it.
+    /// Replay re-runs the request, reconstructing the identical store
+    /// entry under the same content-addressed id.
     Solve {
-        /// The server-assigned hypothesis id.
-        id: u64,
         /// The originating request; always `Request::Solve` with no
         /// trace context (tracing never changes answers).
         request: Request,
@@ -73,9 +74,8 @@ impl DurableRecord {
                 ("record", Json::str("register")),
                 ("graph", Json::str(graph_text.clone())),
             ]),
-            DurableRecord::Solve { id, request } => Json::obj([
+            DurableRecord::Solve { request } => Json::obj([
                 ("record", Json::str("solve")),
-                ("id", Json::str(hex64(*id))),
                 ("req", request.to_json()),
             ]),
         };
@@ -98,11 +98,6 @@ impl DurableRecord {
                     .to_string(),
             }),
             Some("solve") => {
-                let id = json
-                    .get("id")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("solve record without id".into()))
-                    .and_then(|s| parse_hex64(s).map_err(|e| bad(e.0)))?;
                 let request = Request::from_json(
                     json.get("req")
                         .ok_or_else(|| bad("solve record without req".into()))?,
@@ -111,7 +106,7 @@ impl DurableRecord {
                 if !matches!(request, Request::Solve { .. }) {
                     return Err(bad("solve record req is not a solve".into()));
                 }
-                Ok(DurableRecord::Solve { id, request })
+                Ok(DurableRecord::Solve { request })
             }
             other => Err(bad(format!("unknown durable record {other:?}"))),
         }
@@ -141,8 +136,9 @@ impl RecoveryStats {
 }
 
 /// The open durability layer of one daemon: the live WAL plus the
-/// in-memory compaction table (registers deduplicated, solves keyed by
-/// id) that becomes the next snapshot.
+/// in-memory compaction table (registers deduplicated by structure
+/// hash, solves by hypothesis id, both in first-logged order) that
+/// becomes the next snapshot.
 pub struct Durability {
     dir: PathBuf,
     wal: Wal,
@@ -150,7 +146,8 @@ pub struct Durability {
     appends_since_compact: usize,
     registers: Vec<String>,
     register_hashes: HashSet<u64>,
-    solves: BTreeMap<u64, DurableRecord>,
+    solves: Vec<DurableRecord>,
+    solve_ids: HashSet<u64>,
 }
 
 impl Durability {
@@ -191,7 +188,8 @@ impl Durability {
             appends_since_compact: wal_read.records.len(),
             registers: Vec::new(),
             register_hashes: HashSet::new(),
-            solves: BTreeMap::new(),
+            solves: Vec::new(),
+            solve_ids: HashSet::new(),
         };
         for r in &records {
             this.absorb(r);
@@ -207,8 +205,23 @@ impl Durability {
                     self.registers.push(graph_text.clone());
                 }
             }
-            DurableRecord::Solve { id, .. } => {
-                self.solves.insert(*id, record.clone());
+            DurableRecord::Solve { request } => {
+                // `from_bytes` admits only solve requests here.
+                if let Request::Solve {
+                    structure,
+                    examples,
+                    ell,
+                    q,
+                    epsilon,
+                    solver,
+                    ..
+                } = request
+                {
+                    let id = hypothesis_id(*structure, examples, *ell, *q, *epsilon, solver);
+                    if self.solve_ids.insert(id) {
+                        self.solves.push(record.clone());
+                    }
+                }
             }
         }
     }
@@ -240,7 +253,7 @@ impl Durability {
                 };
                 f.write_all(&encode_frame(&rec.to_bytes()))?;
             }
-            for rec in self.solves.values() {
+            for rec in &self.solves {
                 f.write_all(&encode_frame(&rec.to_bytes()))?;
             }
             f.sync_data()?;
@@ -273,16 +286,16 @@ mod tests {
         dir
     }
 
-    fn solve_rec(id: u64, structure: u64) -> DurableRecord {
+    /// A solve record; distinct `ell`s make distinct solves.
+    fn solve_rec(ell: usize, structure: u64) -> DurableRecord {
         DurableRecord::Solve {
-            id,
             request: Request::Solve {
                 structure,
                 examples: vec![crate::proto::WireExample {
                     tuple: vec![0, 1],
                     label: true,
                 }],
-                ell: 1,
+                ell,
                 q: 1,
                 epsilon: 0.25,
                 solver: SolverSpec::default_brute(),
@@ -368,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn solves_compact_in_id_order_even_if_logged_out_of_order() {
+    fn solves_compact_in_first_logged_order() {
         let dir = tmp_dir("order");
         {
             let (mut d, _, _) = Durability::open(&dir, 2).unwrap();
@@ -376,6 +389,20 @@ mod tests {
             d.append(&solve_rec(3, 9)).unwrap(); // triggers compaction
         }
         let (_, records, _) = Durability::open(&dir, 2).unwrap();
-        assert_eq!(records, vec![solve_rec(3, 9), solve_rec(5, 9)]);
+        assert_eq!(records, vec![solve_rec(5, 9), solve_rec(3, 9)]);
+    }
+
+    #[test]
+    fn a_solve_logged_twice_compacts_to_one_record() {
+        let dir = tmp_dir("dedupe");
+        {
+            let (mut d, _, _) = Durability::open(&dir, 3).unwrap();
+            d.append(&solve_rec(1, 9)).unwrap();
+            d.append(&solve_rec(1, 9)).unwrap();
+            assert!(d.append(&solve_rec(2, 9)).unwrap(), "third append compacts");
+        }
+        let (_, records, stats) = Durability::open(&dir, 3).unwrap();
+        assert_eq!(stats.snapshot_loads, 1);
+        assert_eq!(records, vec![solve_rec(1, 9), solve_rec(2, 9)]);
     }
 }

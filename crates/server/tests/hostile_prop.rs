@@ -1,16 +1,24 @@
 //! Hostile-input properties: arbitrary bytes and mutated valid frames
-//! fed to every decoder a peer can reach — the request and response
-//! codecs, the graph text parser behind `register`, and the formula
-//! parser behind `modelcheck` — come back as a value or an error, never
-//! a panic or an abort. The fixed cases are the inputs that used to
-//! overflow a loop thread's stack: a line of 20 000 `[` and a formula
-//! nested 5000 parentheses deep.
+//! fed to every decoder a peer or a data dir can reach — the request
+//! and response codecs, the graph text parser behind `register`, the
+//! formula parser behind `modelcheck`, the durable-record decoder, and
+//! the WAL and snapshot readers behind `serve --data-dir` — come back
+//! as a value or an error, never a panic or an abort. The fixed cases
+//! are the inputs that used to take a node down: a line of 20 000 `[`
+//! and a formula nested 5000 parentheses deep (stack overflow), and a
+//! `vertices 3000000000` structure (a ~24 GB allocation), whether it
+//! arrives in a frame or in a checksummed WAL record.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use folearn_graph::{io, Vocabulary};
 use folearn_logic::parser;
 use folearn_logic::vm::EvalEngine;
-use folearn_server::proto::{Json, Request, Response, WireExample};
-use folearn_server::SolverSpec;
+use folearn_server::proto::{fnv1a64, hypothesis_id, Json, Request, Response, WireExample};
+use folearn_server::snapshot::{DurableRecord, Durability, SNAPSHOT_FILE, WAL_FILE};
+use folearn_server::wal::encode_frame;
+use folearn_server::{start, Client, ClientApi, ServerConfig, SolverSpec};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -21,6 +29,67 @@ fn feed_everything(text: &str) {
     let _ = Response::decode(text);
     let _ = io::parse_graph(text);
     let _ = parser::parse(text, &Vocabulary::new(["Red", "Blue"]));
+    let _ = DurableRecord::from_bytes(text.as_bytes());
+}
+
+static CASE: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh scratch data dir per case.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "folearn-hostile-{tag}-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::SeqCst)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Lay `wal` and `snapshot` bytes into a fresh data dir and open it the
+/// way a restarting daemon does: a value or an error, never a panic.
+fn open_data_dir(tag: &str, wal: &[u8], snapshot: &[u8]) {
+    let dir = fresh_dir(tag);
+    std::fs::create_dir_all(&dir).expect("create the data dir");
+    std::fs::write(dir.join(WAL_FILE), wal).expect("write wal.log");
+    std::fs::write(dir.join(SNAPSHOT_FILE), snapshot).expect("write snapshot.log");
+    let _ = Durability::open(&dir, 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn solve_request(structure: u64) -> Request {
+    Request::Solve {
+        structure,
+        examples: vec![
+            WireExample {
+                tuple: vec![0],
+                label: true,
+            },
+            WireExample {
+                tuple: vec![1],
+                label: false,
+            },
+        ],
+        ell: 1,
+        q: 1,
+        epsilon: 0.0,
+        solver: SolverSpec::default_brute(),
+        trace: None,
+    }
+}
+
+/// Valid durable-record payloads, to be mutated and re-checksummed.
+fn valid_records() -> Vec<Vec<u8>> {
+    [
+        DurableRecord::Register {
+            graph_text: GRAPH.to_string(),
+        },
+        DurableRecord::Solve {
+            request: solve_request(0xfeed),
+        },
+    ]
+    .iter()
+    .map(DurableRecord::to_bytes)
+    .collect()
 }
 
 const GRAPH: &str = "colors Red Blue\nvertices 6\nedge 0 1\nedge 1 2\nedge 2 3\ncolor 0 Red\ncolor 3 Blue\n";
@@ -34,24 +103,7 @@ fn valid_frames() -> Vec<String> {
         Request::Register {
             graph_text: GRAPH.to_string(),
         },
-        Request::Solve {
-            structure: 0xfeed,
-            examples: vec![
-                WireExample {
-                    tuple: vec![0],
-                    label: true,
-                },
-                WireExample {
-                    tuple: vec![1],
-                    label: false,
-                },
-            ],
-            ell: 1,
-            q: 1,
-            epsilon: 0.0,
-            solver: SolverSpec::default_brute(),
-            trace: None,
-        },
+        solve_request(0xfeed),
         Request::Evaluate {
             structure: 1,
             hypothesis: 2,
@@ -142,6 +194,40 @@ proptest! {
     }
 }
 
+proptest! {
+    // Each case opens a data dir (an fsync or two): fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn arbitrary_data_dir_files_open_or_fail(
+        wal in collection::vec(0u8..=255, 0..256),
+        snapshot in collection::vec(0u8..=255, 0..256),
+    ) {
+        open_data_dir("bytes", &wal, &snapshot);
+    }
+
+    #[test]
+    fn mutated_checksummed_records_open_or_fail(
+        record in 0usize..2,
+        edits in collection::vec((0u8..4, 0usize..4096, 0usize..64), 1..4),
+        in_snapshot in 0u32..2,
+    ) {
+        // The checksum is recomputed over the mutated payload, so the
+        // mutation gets past the frame reader into the record decoder.
+        let records = valid_records();
+        let payload = &records[record % records.len()];
+        let mutated = mutate(&String::from_utf8_lossy(payload), &edits);
+        let _ = DurableRecord::from_bytes(&mutated);
+        let mut log: Vec<u8> = records.iter().flat_map(|r| encode_frame(r)).collect();
+        log.extend(encode_frame(&mutated));
+        if in_snapshot == 1 {
+            open_data_dir("snapshot", &[], &log);
+        } else {
+            open_data_dir("wal", &log, &[]);
+        }
+    }
+}
+
 #[test]
 fn every_valid_frame_decodes_before_mutation() {
     let vocab = Vocabulary::new(["Red", "Blue"]);
@@ -186,4 +272,89 @@ fn the_stack_bombs_are_errors() {
     ] {
         assert!(parser::parse(&bomb, &vocab).is_err());
     }
+}
+
+#[test]
+fn a_huge_vertex_count_is_refused_before_allocating() {
+    let e = io::parse_graph("colors Red\nvertices 3000000000\nedge 0 1\n").unwrap_err();
+    assert_eq!(e.line, 2, "{e}");
+    let frame = Request::Register {
+        graph_text: "vertices 3000000000\n".to_string(),
+    }
+    .encode();
+    feed_everything(&frame);
+}
+
+#[test]
+fn a_wal_registering_a_huge_structure_fails_startup_instead_of_allocating() {
+    let dir = fresh_dir("huge");
+    std::fs::create_dir_all(&dir).expect("create the data dir");
+    let record = DurableRecord::Register {
+        graph_text: "colors Red\nvertices 3000000000\n".to_string(),
+    };
+    std::fs::write(dir.join(WAL_FILE), encode_frame(&record.to_bytes())).expect("write wal.log");
+    let started = start(&ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    match started {
+        Ok(handle) => {
+            handle.shutdown();
+            panic!("a daemon replayed a 3-billion-vertex register");
+        }
+        Err(e) => assert!(e.to_string().contains("exceeds the limit"), "{e}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_legacy_solve_record_carrying_an_id_replays_under_its_content_id() {
+    // A log written before ids were content addresses: the solve record
+    // names the id its daemon counted out. Replay ignores it.
+    let canonical = io::to_text(&io::parse_graph(GRAPH).expect("the test graph parses"));
+    let structure = fnv1a64(canonical.as_bytes());
+    let request = solve_request(structure);
+    let legacy = Json::obj([
+        ("record", Json::str("solve")),
+        ("id", Json::str("0000000000000001")),
+        ("req", request.to_json()),
+    ])
+    .render();
+    assert_eq!(
+        DurableRecord::from_bytes(legacy.as_bytes()).expect("a legacy record decodes"),
+        DurableRecord::Solve {
+            request: request.clone()
+        }
+    );
+
+    let dir = fresh_dir("legacy");
+    std::fs::create_dir_all(&dir).expect("create the data dir");
+    let register = DurableRecord::Register {
+        graph_text: canonical,
+    };
+    let mut log = encode_frame(&register.to_bytes());
+    log.extend(encode_frame(legacy.as_bytes()));
+    std::fs::write(dir.join(WAL_FILE), log).expect("write wal.log");
+    let handle = start(&ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("a legacy data dir replays");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let (_, hypotheses) = client.inventory().expect("inventory");
+    let Request::Solve {
+        examples,
+        ell,
+        q,
+        epsilon,
+        solver,
+        ..
+    } = &request
+    else {
+        unreachable!()
+    };
+    let id = hypothesis_id(structure, examples, *ell, *q, *epsilon, solver);
+    assert_eq!(hypotheses.iter().map(|b| b.id).collect::<Vec<_>>(), vec![id]);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

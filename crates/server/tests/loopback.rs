@@ -56,7 +56,7 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
     assert_eq!(warm.error, cold.error);
     assert_eq!(warm.hypothesis.id, cold.hypothesis.id);
     assert_eq!(warm.hypothesis.params, cold.hypothesis.params);
-    assert_eq!(warm.hypothesis.types, cold.hypothesis.types);
+    assert_eq!(warm.hypothesis.type_keys, cold.hypothesis.type_keys);
 
     // The unified trace rides on the wire: a `server.solve` span wrapping
     // the learner's own `solve` span, end to end.
@@ -664,4 +664,62 @@ fn connection_handles_are_reaped_not_leaked() {
         handle.tracked_connections()
     );
     handle.shutdown();
+}
+
+/// Solve `(ell, q)` on the coloured path with the default solver and
+/// return the hypothesis id.
+fn solve_id(client: &mut Client, structure: u64, ell: usize, q: usize) -> u64 {
+    client
+        .solve(structure, sample(), ell, q, 0.0, SolverSpec::default_brute())
+        .expect("solve")
+        .hypothesis
+        .id
+}
+
+#[test]
+fn hypothesis_ids_agree_across_daemons_whatever_the_solve_order() {
+    // X = (ℓ 1, q 1), Y = (ℓ 0, q 1). One daemon solves X then Y, the
+    // other Y then X: each id names its solve, not its turn.
+    let (a, b) = (
+        start(&ServerConfig::default()).expect("server a starts"),
+        start(&ServerConfig::default()).expect("server b starts"),
+    );
+    let mut ca = Client::connect(a.addr()).expect("connect a");
+    let mut cb = Client::connect(b.addr()).expect("connect b");
+    let (sa, sb) = (ca.register(GRAPH).expect("register a"), cb.register(GRAPH).expect("register b"));
+    let (xa, ya) = (solve_id(&mut ca, sa, 1, 1), solve_id(&mut ca, sa, 0, 1));
+    let (yb, xb) = (solve_id(&mut cb, sb, 0, 1), solve_id(&mut cb, sb, 1, 1));
+    assert_ne!(xa, ya);
+    assert_eq!(xa, xb, "X is named alike on both daemons");
+    assert_eq!(ya, yb, "Y is named alike on both daemons");
+    a.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn cache_eviction_neither_renumbers_nor_relogs_a_hypothesis() {
+    let dir = std::env::temp_dir().join(format!("folearn-loopback-evict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = start(&ServerConfig {
+        cache_capacity: 1,
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let structure = client.register(GRAPH).expect("register");
+    // X, Y, X, Y, X, Y: every solve evicts the other from the one-entry
+    // cache and re-runs.
+    let mut ids: Vec<u64> = (0..6)
+        .map(|i| solve_id(&mut client, structure, i % 2, 1))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 2, "two solves, two ids: {ids:?}");
+    let stats = client.stats().expect("stats");
+    let num = |key: &str| stats.get(key).and_then(Json::as_usize);
+    assert_eq!(num("hypotheses"), Some(2));
+    assert_eq!(num("wal_records_written"), Some(3), "register + one record per solve");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,9 +5,8 @@
 //! are a pure function of the request, whatever the schedule.
 //!
 //! Determinism notes baked into the harness: both daemons run one pool
-//! worker (so compute jobs execute in submission order and hypothesis
-//! ids are assigned deterministically) and traces are off (span timings
-//! are the only nondeterministic reply bytes). Duplicate solves inside
+//! worker (so compute jobs execute in submission order) and traces are
+//! off (span timings are the only nondeterministic reply bytes). Duplicate solves inside
 //! one burst are fair game either way: a pipelined duplicate planned
 //! before its twin's result reaches the cache coalesces onto the
 //! in-flight job and is replayed as a cache hit — exactly what the

@@ -204,7 +204,6 @@ proptest! {
         params in collection::vec(0u32..100, 0..4),
         q in 0usize..5,
         mode in nasty_string(),
-        types in collection::vec(0u32..10000, 0..6),
         type_keys in collection::vec(0u64..=u64::MAX, 0..6),
         describe in nasty_string(),
         with_trace in 0u32..2,
@@ -238,7 +237,7 @@ proptest! {
             cached: cached == 1,
             error: f64::from(err_mil) / 1000.0,
             solver,
-            hypothesis: WireHypothesis { id, params, q, mode, types, type_keys, describe },
+            hypothesis: WireHypothesis { id, params, q, mode, type_keys, describe },
             trace,
             provenance,
         }))?;

@@ -111,20 +111,25 @@ fn restart_replays_registry_and_hypotheses_bit_identically() {
             .expect("re-solve after restart");
         assert_eq!(again.hypothesis.id, pre.hypothesis.id, "id survives");
         assert_eq!(again.hypothesis.params, pre.hypothesis.params);
-        assert_eq!(again.hypothesis.types, pre.hypothesis.types);
         assert_eq!(again.hypothesis.type_keys, pre.hypothesis.type_keys);
         assert_eq!(again.error, pre.error);
     }
 
-    // Fresh ids allocated after the restart never collide with replayed
-    // ones.
+    // A solve first seen after the restart gets its own id — the one
+    // any daemon, whatever its history, gives the same solve.
     let fresh = client
         .solve(structure, sample(), 1, 2, 0.0, SolverSpec::default_brute())
         .expect("fresh solve after restart");
-    assert!(
-        fresh.hypothesis.id > outcome_b.hypothesis.id,
-        "id allocation resumes past the replayed maximum"
-    );
+    assert_ne!(fresh.hypothesis.id, outcome_a.hypothesis.id);
+    assert_ne!(fresh.hypothesis.id, outcome_b.hypothesis.id);
+    let volatile = start(&ServerConfig::default()).expect("volatile server starts");
+    let mut other = Client::connect(volatile.addr()).expect("connect to volatile");
+    let other_structure = other.register(GRAPH).expect("register on volatile");
+    let elsewhere = other
+        .solve(other_structure, sample(), 1, 2, 0.0, SolverSpec::default_brute())
+        .expect("same solve on a volatile daemon");
+    assert_eq!(fresh.hypothesis.id, elsewhere.hypothesis.id);
+    volatile.shutdown();
 
     let stats = client.stats().expect("stats after restart");
     assert_eq!(stats.get("durable").and_then(Json::as_bool), Some(true));

@@ -123,6 +123,15 @@ RADDR=$(cat "$SMOKE/router.addr")
 "$FOLEARN" client --addr "$RADDR" --action solve --graph "$SMOKE/graph.txt" \
     --examples "$SMOKE/sample.txt" --ell 1 --q 1 --retries 4 > "$SMOKE/routed.txt"
 grep -q 'training error:  0.0000' "$SMOKE/routed.txt"
+# A hypothesis id is the content address of its solve: a repeat through
+# the router and the same solve straight on a backend name it alike.
+"$FOLEARN" client --addr "$RADDR" --action solve --graph "$SMOKE/graph.txt" \
+    --examples "$SMOKE/sample.txt" --ell 1 --q 1 --retries 4 > "$SMOKE/routed2.txt"
+"$FOLEARN" client --addr "$(cat "$SMOKE/b1.addr")" --action solve --graph "$SMOKE/graph.txt" \
+    --examples "$SMOKE/sample.txt" --ell 1 --q 1 > "$SMOKE/direct.txt"
+IDS=$(grep -h '^hypothesis id:' "$SMOKE/routed.txt" "$SMOKE/routed2.txt" "$SMOKE/direct.txt")
+[ "$(printf '%s\n' "$IDS" | wc -l)" -eq 3 ] && [ "$(printf '%s\n' "$IDS" | sort -u | wc -l)" -eq 1 ] \
+    || { echo "tier1: one solve answered under different hypothesis ids: $IDS" >&2; exit 1; }
 "$FOLEARN" client --addr "$RADDR" --action stats > "$SMOKE/router-stats.txt"
 grep -q '"router"' "$SMOKE/router-stats.txt"
 # The front door does the router's connection accounting too: its own
